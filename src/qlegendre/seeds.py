@@ -19,8 +19,12 @@ A half-vector yields a Legendre pair exactly when
 At the lag p itself the cosine degenerates to (-1)^j, so that single
 condition is exact Gaussian-integer arithmetic: DFT(B, p) = a+ib must
 satisfy a^2 + b^2 = 4p-2 with a = 1 and -b = 1 mod 4 (mod4_filter).  The
-search walks the half-vector positions depth-first over blocks of
-candidates (numpy arrays), pruning on two sound bounds:
+search walks the half-vector positions depth-first over an explicit stack
+of blocks of candidates (numpy arrays).  Popping a block expands all four
+children of every row in one broadcast; the survivors are pushed in small
+chunks, lowest paths on top, so leaves are reached in lexicographic order.
+The broadcast computes the same float sums as a walk one node at a time,
+so the set of pruned nodes is unchanged.  The two sound bounds are:
 
   * the exact lag-p walk must stay within Manhattan range of a valid
     (a, b) target with matching parity;
@@ -33,7 +37,6 @@ tolerance anywhere in [1e-9, 1e-4].
 """
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -150,21 +153,13 @@ def mod4_filter(p: int, half: Sequence[GaussInt]) -> bool:
     return d.re % 4 == 1 and d.im % 4 == 3 and d.norm() == 4 * p - 2
 
 
-def restricted_space(p: int) -> int:
-    """Candidate count under antisymmetry + pinned b_0, b_p."""
-    return 4 ** ((p - 1) // 2)
-
-
-def full_space(p: int) -> int:
-    """All 2-decompressions of B_p: 2 * 4^(p-1)."""
-    return 2 * 4 ** (p - 1)
-
-
 # --- vectorized half-vector search -----------------------------------------
 
-_UNIT_COMPLEX = (1 + 0j, 1j, -1 + 0j, -1j)
-_UNIT_XY = ((1, 0), (0, 1), (-1, 0), (0, -1))
-_BLOCK_CAP = 1 << 17
+_UNIT_COMPLEX = np.array([1 + 0j, 1j, -1 + 0j, -1j])
+_UNIT_X = np.array([1, 0, -1, 0])
+_UNIT_Y = np.array([0, 1, 0, -1])
+# rows per stacked block; it bounds the live arrays, and so peak memory
+_CHUNK = 1 << 8
 
 
 class _SearchTables:
@@ -199,6 +194,35 @@ class _SearchTables:
             ok |= (d <= rem) & ((d - rem) % 2 == 0)
         return ok
 
+    def root(self) -> tuple[np.ndarray, ...]:
+        """The depth-0 block: the empty prefix, DFT sums 1-i."""
+        z = np.full((1, self.weights.shape[0]), 1.0 - 1.0j, dtype=np.complex128)
+        zero = np.zeros(1, dtype=np.int64)
+        return z, zero, zero, zero
+
+    def children(self, block: tuple[np.ndarray, ...], t: int) -> tuple[np.ndarray, ...]:
+        """The pruned children of a depth-t block, rows in path order."""
+        z, ax, ay, path = block
+        j = t + 1
+        sign = -1 if j % 2 == 1 else 1
+        rem = self.h - j
+        z2 = (z[:, None, :] + _UNIT_COMPLEX[None, :, None] * self.weights[:, t]).reshape(
+            -1, z.shape[1]
+        )
+        ax2 = (ax[:, None] + sign * _UNIT_X).ravel()
+        ay2 = (ay[:, None] + sign * _UNIT_Y).ravel()
+        path2 = (path[:, None] + (np.arange(4) << (2 * rem))).ravel()
+        keep = self.alternating_ok(ax2, ay2, rem)
+        band = self.remaining[:, j] + self.margin
+        keep &= (np.abs(np.abs(z2) - self.radius) <= band).all(axis=1)
+        return z2[keep], ax2[keep], ay2[keep], path2[keep]
+
+    def leaves_ok(self, block: tuple[np.ndarray, ...]) -> np.ndarray:
+        z, ax, ay, _ = block
+        ok = np.abs(np.abs(z) ** 2 - self.psd_target).max(axis=1) <= self.tol
+        ok &= self.alternating_ok(ax, ay, 0)
+        return ok
+
 
 class _FoundEnough(Exception):
     pass
@@ -231,82 +255,28 @@ def _decode_path(pid: int, h: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _expand(
-    tab: _SearchTables,
-    z: np.ndarray,
-    ax: np.ndarray,
-    ay: np.ndarray,
-    path: np.ndarray,
-    t: int,
-    sink: _Collector,
-) -> None:
-    h = tab.h
-    if t == h:
-        ok = np.abs(np.abs(z) ** 2 - tab.psd_target).max(axis=1) <= tab.tol
-        ok &= tab.alternating_ok(ax, ay, 0)
-        if ok.any():
-            sink.take(path[ok])
-        return
-    j = t + 1
-    sign = -1 if j % 2 == 1 else 1
-    rem = h - j
-    band = tab.remaining[:, j] + tab.margin
-    for idx in range(4):
-        cx, cy = _UNIT_XY[idx]
-        z2 = z + _UNIT_COMPLEX[idx] * tab.weights[:, t]
-        ax2 = ax + sign * cx
-        ay2 = ay + sign * cy
-        keep = tab.alternating_ok(ax2, ay2, rem)
-        keep &= (np.abs(np.abs(z2) - tab.radius) <= band).all(axis=1)
-        if not keep.any():
-            continue
-        z3 = z2[keep]
-        ax3 = ax2[keep]
-        ay3 = ay2[keep]
-        path3 = path[keep] + (idx << (2 * rem))
-        if len(path3) > _BLOCK_CAP:
-            for lo in range(0, len(path3), _BLOCK_CAP):
-                hi = lo + _BLOCK_CAP
-                _expand(tab, z3[lo:hi], ax3[lo:hi], ay3[lo:hi], path3[lo:hi], j, sink)
-        else:
-            _expand(tab, z3, ax3, ay3, path3, j, sink)
+def _push(stack: list, block: tuple[np.ndarray, ...], t: int) -> None:
+    """Stack a depth-t block in chunks, its lowest paths on top."""
+    for lo in reversed(range(0, len(block[3]), _CHUNK)):
+        stack.append((tuple(a[lo : lo + _CHUNK] for a in block), t))
 
 
-def _prefix_state(tab: _SearchTables, prefix: tuple[int, ...]):
-    """Walk a fixed prefix; returns None when a sound bound already
-    excludes the whole subtree."""
-    h = tab.h
-    z = np.full((1, tab.weights.shape[0]), 1.0 - 1.0j, dtype=np.complex128)
-    ax = np.zeros(1, dtype=np.int64)
-    ay = np.zeros(1, dtype=np.int64)
-    path = np.zeros(1, dtype=np.int64)
-    for t, idx in enumerate(prefix):
-        j = t + 1
-        sign = -1 if j % 2 == 1 else 1
-        cx, cy = _UNIT_XY[idx]
-        z = z + _UNIT_COMPLEX[idx] * tab.weights[:, t]
-        ax = ax + sign * cx
-        ay = ay + sign * cy
-        path = path + (idx << (2 * (h - j)))
-        rem = h - j
-        if not tab.alternating_ok(ax, ay, rem)[0]:
-            return None
-        band = tab.remaining[:, j] + tab.margin
-        if not (np.abs(np.abs(z) - tab.radius) <= band).all():
-            return None
-    return z, ax, ay, path
-
-
-def _search_task(
-    p: int, tol: float, prefix: tuple[int, ...], first_only: bool
+def _search_block(
+    tab: _SearchTables, first_only: bool, block: tuple[np.ndarray, ...], depth: int
 ) -> list[tuple[int, ...]]:
-    tab = _SearchTables(p, tol)
-    state = _prefix_state(tab, prefix)
-    if state is None:
-        return []
-    sink = _Collector(p, tab.h, first_only)
+    """Confirmed leaves below a block of depth-`depth` rows, depth first.
+    Popping a block expands all its rows at once; as the lowest paths are
+    popped first, leaves are reached in lexicographic order."""
+    sink = _Collector(tab.p, tab.h, first_only)
+    stack: list = []
+    _push(stack, block, depth)
     try:
-        _expand(tab, *state, len(prefix), sink)
+        while stack:
+            block, t = stack.pop()
+            if t == tab.h:
+                sink.take(block[3][tab.leaves_ok(block)])
+            else:
+                _push(stack, tab.children(block, t), t + 1)
     except _FoundEnough:
         pass
     return sink.found
@@ -325,9 +295,9 @@ def seed_search(
 
     first_only stops at the lexicographically first confirmed vector.
     tol is the float screening tolerance; the confirmed output does not
-    depend on it.  The tree is partitioned by fixing the first
-    prefix_depth symbols, which is also the unit of work handed to
-    worker processes.
+    depend on it.  The tree is expanded breadth-first to prefix_depth;
+    that pruned frontier is cut into one contiguous slice per worker
+    process and the slices' results are merged in slice order.
     """
     require_odd_prime(p)
     if workers < 1:
@@ -342,28 +312,28 @@ def seed_search(
     if not 0 <= prefix_depth <= h:
         raise ValueError(f"prefix depth must be in 0..{h}, got {prefix_depth}")
 
-    prefixes = list(itertools.product(range(4), repeat=prefix_depth))
-    found: list[tuple[int, ...]] = []
+    tab = _SearchTables(p, tol)
+    frontier = tab.root()
+    for t in range(prefix_depth):
+        frontier = tab.children(frontier, t)
     if workers == 1:
-        for prefix in prefixes:
-            got = _search_task(p, tol, prefix, first_only)
-            found.extend(got)
-            if first_only and found:
-                break
+        found = _search_block(tab, first_only, frontier, prefix_depth)
     else:
+        n = len(frontier[3])
+        cuts = [n * k // workers for k in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_search_task, p, tol, prefix, first_only)
-                for prefix in prefixes
+                pool.submit(
+                    _search_block,
+                    tab,
+                    first_only,
+                    tuple(a[lo:hi] for a in frontier),
+                    prefix_depth,
+                )
+                for lo, hi in zip(cuts, cuts[1:])
+                if lo < hi
             ]
-            for fut in futures:
-                got = fut.result()
-                found.extend(got)
-                if first_only and found:
-                    for other in futures:
-                        other.cancel()
-                    break
-    found.sort()
+            found = [idxs for fut in futures for idxs in fut.result()]
     if first_only:
         found = found[:1]
     return [HalfVector(p, tuple(UNITS[i] for i in idxs)) for idxs in found]

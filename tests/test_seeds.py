@@ -9,9 +9,7 @@ from qlegendre.pairs import is_legendre_pair
 from qlegendre.seeds import (
     build_seed_b,
     decompress_seed_a,
-    full_space,
     mod4_filter,
-    restricted_space,
     seed_feasible,
     seed_identity_report,
     seed_pair,
@@ -52,9 +50,6 @@ def test_decompress_seed_a_family():
 def test_seed_b_space_size():
     sp = seed_pair(3)
     assert decompression_count(sp.b) == 2 * 4 ** (3 - 1)  # 32
-    assert restricted_space(3) == 4
-    assert full_space(3) == 32
-    assert restricted_space(13) == 4**6
 
 
 def test_build_seed_b_structure():
@@ -134,17 +129,60 @@ def test_seed_search_infeasible_returns_empty():
     assert seed_search(17) == []
 
 
+def _texts(found):
+    return [h.text() for h in found]
+
+
 def test_seed_search_tolerance_independent():
     # the float band only screens; exact confirmation fixes the output
-    a = seed_search(7, tol=1e-9)
-    b = seed_search(7, tol=1e-4)
-    assert [h.text() for h in a] == [h.text() for h in b]
+    for p in (7, 19, 23):
+        assert _texts(seed_search(p, tol=1e-9)) == _texts(seed_search(p, tol=1e-4)), p
 
 
 def test_seed_search_prefix_split_consistent():
-    whole = [h.text() for h in seed_search(7)]
-    split = [h.text() for h in seed_search(7, prefix_depth=2)]
+    whole = _texts(seed_search(7))
+    split = _texts(seed_search(7, prefix_depth=2))
     assert whole == split
+
+
+def test_seed_search_lexicographic_order():
+    found = seed_search(19)
+    keys = [tuple(UNITS.index(z) for z in h.symbols) for h in found]
+    assert len(found) == 18
+    assert keys == sorted(keys)
+    assert _texts(seed_search(19, first_only=True)) == _texts(found)[:1]
+
+
+@pytest.mark.parametrize("p", [13, 19, 23])
+def test_seed_search_workers_match_serial(p):
+    assert _texts(seed_search(p, workers=2)) == _texts(seed_search(p))
+
+
+def test_seed_search_workers_first_only_match_serial():
+    for p in (7, 13, 19):
+        serial = _texts(seed_search(p, first_only=True))
+        assert len(serial) == 1
+        assert _texts(seed_search(p, first_only=True, workers=2)) == serial
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_seed_search_prefix_depth_workers_match_serial(depth):
+    serial = _texts(seed_search(19))
+    assert _texts(seed_search(19, prefix_depth=depth)) == serial
+    assert _texts(seed_search(19, prefix_depth=depth, workers=2)) == serial
+    assert _texts(seed_search(19, prefix_depth=depth, workers=2, first_only=True)) == serial[:1]
+
+
+def test_seed_search_p23_exhaustively_empty():
+    # 4p-2 = 90 = 9^2 + 3^2 is a sum of two squares, yet no half-vector works
+    assert seed_feasible(23)
+    assert seed_search(23) == []
+
+
+def test_seed_search_p31_count():
+    found = _texts(seed_search(31))
+    assert len(found) == 30
+    assert seed_half_vector(31).text() in found
 
 
 def test_seed_search_rejects_bad_p():
