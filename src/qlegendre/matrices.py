@@ -2,12 +2,13 @@
 
 Entries stay well inside int64 for everything this package builds (unit
 entries, Gram values bounded by the order), and every product asserts a
-magnitude bound first, so arithmetic can never wrap silently.
+magnitude bound first, so arithmetic can never wrap silently.  Products skip
+part products with an all-zero factor; writers format each distinct entry once.
 """
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,14 +38,10 @@ class GaussMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[GaussInt]]) -> "GaussMatrix":
         n = len(rows)
-        re = np.zeros((n, n), dtype=np.int64)
-        im = np.zeros((n, n), dtype=np.int64)
-        for r, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError("GaussMatrix rows must all have length n")
-            for c, z in enumerate(row):
-                re[r, c] = z.re
-                im[r, c] = z.im
+        if any(len(row) != n for row in rows):
+            raise ValueError("GaussMatrix rows must all have length n")
+        re = np.array([[z.re for z in row] for row in rows], dtype=np.int64).reshape(n, n)
+        im = np.array([[z.im for z in row] for row in rows], dtype=np.int64).reshape(n, n)
         return cls(re, im)
 
     @classmethod
@@ -59,11 +56,7 @@ class GaussMatrix:
         return GaussInt(int(self.re[r, c]), int(self.im[r, c]))
 
     def max_abs(self) -> int:
-        hi = 0
-        for part in (self.re, self.im):
-            if part.size:
-                hi = max(hi, int(np.abs(part).max()))
-        return hi
+        return int(max(np.abs(self.re).max(), np.abs(self.im).max())) if self.n else 0
 
     def conj(self) -> "GaussMatrix":
         return GaussMatrix(self.re, -self.im)
@@ -87,8 +80,8 @@ class GaussMatrix:
         bound = 2 * self.n * max(self.max_abs(), 1) * max(other.max_abs(), 1)
         if bound >= _LIMIT:
             raise OverflowError("matrix product would exceed the exact int64 range")
-        re = self.re @ other.re - self.im @ other.im
-        im = self.re @ other.im + self.im @ other.re
+        re = _part(self.re, other.re) - _part(self.im, other.im)
+        im = _part(self.re, other.im) + _part(self.im, other.re)
         return GaussMatrix(re, im)
 
     def scaled(self, z: GaussInt) -> "GaussMatrix":
@@ -116,14 +109,13 @@ class GaussMatrix:
         im_ok = np.array_equal(self.im, z.im * np.eye(n, dtype=np.int64))
         return bool(re_ok and im_ok)
 
-    def rows(self) -> list[list[GaussInt]]:
-        return [
-            [GaussInt(int(self.re[r, c]), int(self.im[r, c])) for c in range(self.n)]
-            for r in range(self.n)
-        ]
-
     def __repr__(self) -> str:
         return f"GaussMatrix(n={self.n})"
+
+
+def _part(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for square parts of one order; no product when a factor is all zero."""
+    return x @ y if x.any() and y.any() else np.zeros_like(x)
 
 
 def circulant_from_entries(entries: Iterable[GaussInt]) -> GaussMatrix:
@@ -137,11 +129,25 @@ def circulant_from_entries(entries: Iterable[GaussInt]) -> GaussMatrix:
     return GaussMatrix(re[idx], im[idx])
 
 
+def _token_rows(m: GaussMatrix) -> Iterator[list[str]]:
+    """Rows of format_gauss tokens, formatting each distinct entry once.
+
+    Entries are keyed by their ranks among the distinct values of each part
+    (the np.unique inverses, found by searchsorted, which allocates less than
+    return_inverse): ir * w + ii < n**4 never overflows, whatever the entries.
+    """
+    ur, ui = np.unique(m.re), np.unique(m.im)
+    w = len(ui)
+    key = np.searchsorted(ur, m.re) * w + np.searchsorted(ui, m.im)
+    keys = np.unique(key)
+    table = [format_gauss(GaussInt(int(ur[k // w]), int(ui[k % w]))) for k in keys]
+    table = np.array(table, dtype=object)
+    return (table[row].tolist() for row in np.searchsorted(keys, key))
+
+
 def format_matrix_text(m: GaussMatrix) -> str:
     """One row per line, entries space-separated in the a+bi grammar."""
-    return "\n".join(
-        " ".join(format_gauss(z) for z in row) for row in m.rows()
-    ) + "\n"
+    return "\n".join(" ".join(row) for row in _token_rows(m)) + "\n"
 
 
 def parse_matrix_text(text: str) -> GaussMatrix:
@@ -161,7 +167,7 @@ def matrix_to_json(m: GaussMatrix, kind: str) -> str:
         {
             "order": m.n,
             "kind": kind,
-            "rows": [[format_gauss(z) for z in row] for row in m.rows()],
+            "rows": list(_token_rows(m)),
         },
         indent=2,
         sort_keys=True,

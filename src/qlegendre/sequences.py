@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from .gaussint import GaussInt, gauss_sum, parse_gauss, format_gauss
-from . import matrices
 
 
 class QSeq:
@@ -234,8 +233,3 @@ def psd_profile(a: Entries) -> PSDProfile:
         values=tuple(psd(ent, s) for s in range(1, l)),
         exact=tuple(s in exact for s in range(1, l)),
     )
-
-
-def circulant(a: Entries) -> "matrices.GaussMatrix":
-    """Circulant matrix whose row r, column c entry is a_{(c-r) mod l}."""
-    return matrices.circulant_from_entries(_entries(a))

@@ -219,6 +219,21 @@ def test_hadamard_rejects_non_pair(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hadamard", "[1,-1]", "[1,i,1]"],  # length mismatch
+        ["hadamard", "[1,-1]", "[1,i]"],  # --out into a missing directory
+        ["--json", "hadamard", "[1,-1]", "[1,i]"],
+    ],
+)
+def test_hadamard_bad_input_exits_2(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "h"))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_missing_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         cli.main([])

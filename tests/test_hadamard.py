@@ -89,6 +89,21 @@ def test_corpus_samples_build_and_double():
         assert np.array_equal(k.re[: h.n, h.n :], h.re - h.im)
 
 
+def test_gram_checks_reject_one_changed_entry_at_order_332():
+    pair = corpus_seed_pair(41)
+    h = quaternary_hadamard_from_pair(pair.a, pair.b)
+    k = binary_from_quaternary(h)
+    assert (h.n, k.n) == (166, 332)
+    for r, c in ((0, 0), (165, 17), (83, 165)):
+        re, im = h.re.copy(), h.im.copy()
+        re[r, c], im[r, c] = -h.im[r, c], h.re[r, c]  # times i: still a unit
+        assert not is_quaternary_hadamard(GaussMatrix(re, im))
+    for r, c in ((0, 0), (331, 200), (100, 331)):
+        re = k.re.copy()
+        re[r, c] = -re[r, c]
+        assert not is_binary_hadamard(GaussMatrix(re, k.im))
+
+
 def test_quaternary_checker_rejects():
     n = 4
     ident = GaussMatrix(np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64))
