@@ -3,8 +3,9 @@ matrices they generate.
 
 Everything that proves something (pair verification, Gram checks, PSD
 values at the special lags, eligibility tables) runs in exact integer
-arithmetic over Z[i]; floating point appears only in optional screens
-and is never trusted for a final answer.
+arithmetic over Z[i]; floating point appears only in the seed search's
+prune and at lags with no exact form, and is never trusted for a final
+answer.
 """
 from .gaussint import (
     GaussInt,

@@ -20,6 +20,7 @@ from .compression import (
     decompression_count,
     entry_splittings,
     format_compressed,
+    interleave,
     parse_compressed,
 )
 from .corpus import (
@@ -32,20 +33,19 @@ from .corpus import (
     SEED_PRIMES,
     corpus_even_pair,
     corpus_seed_pair,
-    seed_half_vector,
 )
 from .evensearch import InfeasibleLengthError, SearchPlan, search_even
 from .gaussint import format_gauss
 from .hadamard import binary_from_quaternary, quaternary_hadamard_from_pair
 from .matrices import format_matrix_text, matrix_to_json
-from .pairs import is_legendre_pair, pair_to_json
+from .pairs import first_failing_lag, lag_sum_ok, lag_sums, pair_to_json
 from .psdfilters import (
     a3_seed_candidates,
     eligible_half_psd_pairs,
     eligible_quarter_psd_pairs,
 )
 from .seeds import decompress_seed_a, seed_feasible, seed_search
-from .sequences import QSeq, format_qseq, paf, parse_qseq, psd, row_sum
+from .sequences import QSeq, format_qseq, parse_qseq, psd, row_sum
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -71,22 +71,13 @@ def _load_pair_args(args: argparse.Namespace) -> tuple[QSeq, QSeq]:
     return parse_qseq(args.a), parse_qseq(args.b)
 
 
-def _first_failing_lag(a: QSeq, b: QSeq) -> int | None:
-    for s in range(1, len(a) // 2 + 1):
-        total = paf(a, s) + paf(b, s)
-        if total.re != -2 or total.im != 0:
-            return s
-    return None
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     a, b = _load_pair_args(args)
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    sums = list(lag_sums(a, b))
+    failing = first_failing_lag(a, b, sums)
+    ok = failing is None
     l = len(a)
     alpha, beta = row_sum(a), row_sum(b)
-    ok = is_legendre_pair(a, b)
-    failing = None if ok else _first_failing_lag(a, b)
     half = (psd(a, l // 2), psd(b, l // 2)) if l % 2 == 0 else None
     quarter = (psd(a, l // 4), psd(b, l // 4)) if l % 4 == 0 else None
     if args.json:
@@ -94,9 +85,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "length": l,
             "alpha": format_gauss(alpha),
             "beta": format_gauss(beta),
-            "paf_sums": [
-                format_gauss(paf(a, s) + paf(b, s)) for s in range(1, l // 2 + 1)
-            ],
+            "paf_sums": [format_gauss(total) for total in sums],
             "half_psd": list(half) if half else None,
             "quarter_psd": list(quarter) if quarter else None,
             "legendre": ok,
@@ -106,9 +95,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         print(f"length {l}")
         print(f"alpha {format_gauss(alpha)}  beta {format_gauss(beta)}")
-        for s in range(1, l // 2 + 1):
-            total = paf(a, s) + paf(b, s)
-            mark = "ok" if (total.re, total.im) == (-2, 0) else "FAIL"
+        for s, total in enumerate(sums, start=1):
+            mark = "ok" if lag_sum_ok(total) else "FAIL"
             print(f"lag {s}: PAF(A)+PAF(B) = {format_gauss(total)} {mark}")
         if half is not None:
             print(f"half-lag PSD: A {half[0]}, B {half[1]}")
@@ -241,7 +229,6 @@ def _cmd_search_even(args: argparse.Namespace) -> int:
         reduce_conjugation=not args.no_reductions,
         first_only=args.first,
         workers=args.workers,
-        float_screen=args.float_screen,
         a3_seed=a3,
     )
     pairs = list(search_even(plan))
@@ -293,6 +280,8 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompress(args: argparse.Namespace) -> int:
+    if (args.sample or 0) < 0 or (args.limit or 0) < 0:
+        raise ValueError("--sample and --limit must be >= 0")
     comp = parse_compressed(args.compressed, args.ratio)
     total = decompression_count(comp)
     if args.count:
@@ -304,15 +293,9 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
     members: list[str] = []
     if args.sample is not None:
         rng = random.Random(args.seed)
-        m = comp.ratio
         for _ in range(args.sample):
-            picks = [rng.choice(entry_splittings(z, m)) for z in comp.entries]
-            entries = [None] * comp.original_length
-            k = len(comp.entries)
-            for j, split in enumerate(picks):
-                for n, u in enumerate(split):
-                    entries[k * n + j] = u
-            members.append(format_qseq(QSeq(entries)))
+            picks = [rng.choice(entry_splittings(z, comp.ratio)) for z in comp.entries]
+            members.append(format_qseq(interleave(picks)))
     else:
         for i, seq in enumerate(decompress(comp)):
             if args.limit is not None and i >= args.limit:
@@ -361,8 +344,6 @@ def _cmd_psd_filters(args: argparse.Namespace) -> int:
 
 def _cmd_hadamard(args: argparse.Namespace) -> int:
     a, b = _load_pair_args(args)
-    if not is_legendre_pair(a, b):
-        raise ValueError("input is not a Legendre pair; nothing to build")
     h = quaternary_hadamard_from_pair(a, b)
     k = binary_from_quaternary(h)
     prefix = args.out or f"hadamard-l{len(a)}"
@@ -433,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable rotation/conjugation reductions (complete enumeration)",
     )
-    sp.add_argument("--float-screen", action="store_true")
     sp.add_argument("--a3-seed", help="draw A from a threefold seed 'a,b'")
     sp.add_argument("--json", dest="json_out", metavar="OUT", help="write pairs here")
     sp.set_defaults(func=_cmd_search_even)

@@ -16,8 +16,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
-from .gaussint import GaussInt, UNITS, format_gauss, parse_gauss
-from .sequences import QSeq, parse_gauss_seq
+from .gaussint import GaussInt, UNITS, format_gauss, gauss_sum, walk_reachable
+from .sequences import QSeq, format_qseq, parse_gauss_seq
+
+_ORIGIN = ((0, 0),)
 
 
 class CompressedSeq:
@@ -78,21 +80,19 @@ class CompressedSeq:
 
 
 def entry_in_alphabet(z: GaussInt, m: int) -> bool:
-    a = abs(z.re) + abs(z.im)
-    return a <= m and (a - m) % 2 == 0
+    return walk_reachable(z.re, z.im, m, _ORIGIN)
 
 
 def compressed_alphabet(m: int) -> tuple[GaussInt, ...]:
     """All sums of m units, in (re, im) lexicographic order; (m+1)^2 values."""
     if m < 1:
         raise ValueError(f"ratio must be >= 1, got {m}")
-    out = []
-    for a in range(-m, m + 1):
-        rest = m - abs(a)
-        for b in range(-rest, rest + 1):
-            if (abs(a) + abs(b) - m) % 2 == 0:
-                out.append(GaussInt(a, b))
-    return tuple(out)
+    return tuple(
+        GaussInt(a, b)
+        for a in range(-m, m + 1)
+        for b in range(-m, m + 1)
+        if walk_reachable(a, b, m, _ORIGIN)
+    )
 
 
 def compress(a: QSeq | Sequence[GaussInt], k: int) -> CompressedSeq:
@@ -101,33 +101,27 @@ def compress(a: QSeq | Sequence[GaussInt], k: int) -> CompressedSeq:
     l = len(ent)
     if k < 1 or l % k != 0:
         raise ValueError(f"k must divide the length: k={k}, l={l}")
-    m = l // k
-    sums = []
-    for j in range(k):
-        re = 0
-        im = 0
-        for n in range(m):
-            z = ent[k * n + j]
-            re += z.re
-            im += z.im
-        sums.append(GaussInt(re, im))
-    return CompressedSeq(sums, m)
+    return CompressedSeq([gauss_sum(ent[j::k]) for j in range(k)], l // k)
+
+
+def interleave(splits: Sequence[Sequence[GaussInt]]) -> QSeq:
+    """The sequence whose residue class j mod k is splits[j], k = len(splits):
+    the inverse of the ent[j::k] layout of compress.  decompress and the
+    CLI's `decompress --sample` both build their members with it."""
+    return QSeq(u for group in zip(*splits) for u in group)
 
 
 @lru_cache(maxsize=None)
 def _splittings(re: int, im: int, m: int) -> tuple[tuple[GaussInt, ...], ...]:
-    if m == 0:
-        return ((),) if re == 0 and im == 0 else ()
     # prune: the remaining m units cover at most Manhattan distance m,
-    # stepping parity by one each time
-    d = abs(re) + abs(im)
-    if d > m or (d - m) % 2 != 0:
+    # stepping parity by one each time (m = 0 leaves only the origin)
+    if not walk_reachable(re, im, m, _ORIGIN):
         return ()
-    out = []
-    for u in UNITS:
-        for tail in _splittings(re - u.re, im - u.im, m - 1):
-            out.append((u,) + tail)
-    return tuple(out)
+    if m == 0:
+        return ((),)
+    return tuple(
+        (u,) + tail for u in UNITS for tail in _splittings(re - u.re, im - u.im, m - 1)
+    )
 
 
 def entry_splittings(c: GaussInt, m: int) -> tuple[tuple[GaussInt, ...], ...]:
@@ -156,19 +150,11 @@ def decompress(
     k = len(c)
     m = c.ratio
     choice_lists = [entry_splittings(z, m) for z in c.entries]
-
-    def emit(chosen: list[tuple[GaussInt, ...]]) -> QSeq:
-        flat = [None] * (k * m)
-        for j, split in enumerate(chosen):
-            for n, u in enumerate(split):
-                flat[k * n + j] = u
-        return QSeq(flat)
-
     chosen: list[tuple[GaussInt, ...]] = []
 
     def walk(j: int) -> Iterator[QSeq]:
         if j == k:
-            seq = emit(chosen)
+            seq = interleave(chosen)
             if predicate is None or predicate(seq):
                 yield seq
             return
@@ -195,4 +181,4 @@ def parse_compressed(text: str, ratio: int) -> CompressedSeq:
 
 
 def format_compressed(c: CompressedSeq) -> str:
-    return "[" + ",".join(format_gauss(z) for z in c.entries) + "]"
+    return format_qseq(c.entries)

@@ -3,9 +3,16 @@
 Pipeline: the eligibility table fixes the exact values the half-lag PSDs
 can take; per-role candidate enumeration walks the 4^l entry tree
 depth-first, pruning on three exact integer walks (row sum, alternating
-sum, i-weighted quarter sum where 4 | l); a hash join on exact PAF
-half-profiles then pairs the roles, probing with -2 - paf(B, s).  Every
-emitted pair is re-verified exactly.
+sum, i-weighted quarter sum where 4 | l) through gaussint.walk_reachable;
+a hash join on exact PAF half-profiles then pairs the roles, probing with
+-2 - paf(B, s).  Every emitted pair is re-verified exactly.  The search
+is integer arithmetic throughout: no float enters this module.
+
+A threefold seed (a3_seed) replaces the A walk by the decompressions of
+seed_a3, pruned by the same walks and accepted on the exact row sum and
+dft_exact values.  With workers > 1 each role's tree is split by its
+leading symbol over a process pool; the workers return QSeq lists, which
+are concatenated in symbol order, so the output equals the serial run.
 
 Symmetry reductions are explicit plan flags, default off, so that
 exhaustiveness claims stay honest: rotation keeps only rotation-minimal
@@ -17,16 +24,15 @@ order.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
-from .gaussint import GaussInt, UNITS
+from .gaussint import GaussInt, UNITS, ZERO, gauss_sum, walk_reachable
 from .numtheory import two_square_reps
-from .sequences import QSeq, format_qseq, parse_qseq, paf
+from .sequences import QSeq, dft_exact, format_qseq, paf, row_sum
 from .pairs import LegendrePair
 from .psdfilters import eligible_half_psd_pairs, seed_a3
 from .compression import decompress
@@ -48,24 +54,10 @@ class SearchPlan:
     reduce_conjugation: bool = False
     first_only: bool = False
     workers: int = 1
-    float_screen: bool = False
-    tol: float = 1e-6
     a3_seed: Optional[tuple[int, int]] = None
-    join_chunk: int = 1 << 20
 
 
 _ROW_TARGET = {"A": (0, 0), "B": (1, 1)}
-
-
-def _walk_feasible(
-    dx: int, dy: int, rem: int, targets: Sequence[tuple[int, int]]
-) -> bool:
-    # each remaining entry moves the walk by exactly 1 in Manhattan terms
-    for tx, ty in targets:
-        d = abs(dx - tx) + abs(dy - ty)
-        if d <= rem and (d - rem) % 2 == 0:
-            return True
-    return False
 
 
 def enumerate_role_candidates(
@@ -138,13 +130,13 @@ def enumerate_role_candidates(
             mx, my = unit_xy[idx]
             rx2, ry2 = rx + mx, ry + my
             ax2, ay2 = ax + alt_sign * mx, ay + alt_sign * my
-            if not _walk_feasible(rx2, ry2, rem, row_targets):
+            if not walk_reachable(rx2, ry2, rem, row_targets):
                 continue
-            if not _walk_feasible(ax2, ay2, rem, alt_targets):
+            if not walk_reachable(ax2, ay2, rem, alt_targets):
                 continue
             qmx, qmy = quarter_step(j, idx)
             qx2, qy2 = qx + qmx, qy + qmy
-            if quarter_targets is not None and not _walk_feasible(
+            if quarter_targets is not None and not walk_reachable(
                 qx2, qy2, rem, quarter_targets
             ):
                 continue
@@ -158,12 +150,6 @@ def enumerate_role_candidates(
 def _is_rotation_minimal(seq: QSeq) -> bool:
     key = format_qseq(seq)
     return all(format_qseq(seq.rotated(k)) >= key for k in range(1, len(seq)))
-
-
-def _float_screen_ok(seq: QSeq, bound: float) -> bool:
-    vals = np.array([complex(z) for z in seq.entries])
-    spectrum = np.abs(len(seq) * np.fft.ifft(vals)) ** 2
-    return bool(spectrum[1:].max() <= bound)
 
 
 def _a3_candidates(
@@ -180,79 +166,34 @@ def _a3_candidates(
     alt_targets = tuple(two_square_reps(half_norm))
 
     def prune(partial: tuple[tuple[GaussInt, ...], ...]) -> bool:
-        # positions covered so far: entry j holds slots j, j+3, ..., j+3(m-1)
-        filled = 3 * [False]
-        rx = ry = ax = ay = 0
-        for j, split in enumerate(partial):
-            filled[j] = True
-            for n, u in enumerate(split):
-                pos = j + 3 * n
-                rx += u.re
-                ry += u.im
-                sign = 1 if pos % 2 == 0 else -1
-                ax += sign * u.re
-                ay += sign * u.im
-        rem = sum(m for j, f in enumerate(filled) if not f)
-        if not _walk_feasible(rx, ry, rem, ((0, 0),)):
-            return False
-        return _walk_feasible(ax, ay, rem, alt_targets)
+        # entry j holds positions j, j+3, ..., j+3(m-1); position j+3n
+        # has the alternating sign (-1)^(j+n)
+        row = gauss_sum(u for split in partial for u in split)
+        alt = gauss_sum(
+            u if (j + n) % 2 == 0 else -u
+            for j, split in enumerate(partial)
+            for n, u in enumerate(split)
+        )
+        rem = m * (3 - len(partial))
+        return walk_reachable(row.re, row.im, rem, ((0, 0),)) and walk_reachable(
+            alt.re, alt.im, rem, alt_targets
+        )
 
     quarter_set = frozenset(quarter_norms) if quarter_norms is not None else None
 
     def accept(seq: QSeq) -> bool:
-        ax = ay = 0
-        qx = qy = 0
-        for j, z in enumerate(seq.entries):
-            if j % 2 == 0:
-                ax += z.re
-                ay += z.im
-            else:
-                ax -= z.re
-                ay -= z.im
-            if quarter_set is not None:
-                k = j % 4
-                if k == 0:
-                    qx += z.re
-                    qy += z.im
-                elif k == 1:
-                    qx -= z.im
-                    qy += z.re
-                elif k == 2:
-                    qx -= z.re
-                    qy -= z.im
-                else:
-                    qx += z.im
-                    qy -= z.re
-        if ax * ax + ay * ay != half_norm:
+        if row_sum(seq) != ZERO or dft_exact(seq, l // 2).norm() != half_norm:
             return False
-        if quarter_set is not None and (qx * qx + qy * qy) not in quarter_set:
-            return False
-        if sum(z.re for z in seq.entries) != 0 or sum(z.im for z in seq.entries) != 0:
+        if quarter_set is not None and dft_exact(seq, l // 4).norm() not in quarter_set:
             return False
         return not rotation_minimal or _is_rotation_minimal(seq)
 
     return decompress(comp, predicate=accept, prune=prune)
 
 
-def _enumerate_task(
-    l: int,
-    role: str,
-    half_norm: int,
-    quarter_norms: Optional[tuple[int, ...]],
-    prefix: tuple[int, ...],
-    rotation_minimal: bool,
-) -> list[str]:
-    return [
-        format_qseq(seq)
-        for seq in enumerate_role_candidates(
-            l,
-            role,
-            half_norm,
-            quarter_norms,
-            prefix=prefix,
-            rotation_minimal=rotation_minimal,
-        )
-    ]
+def _enumerate_task(*args, **kwargs) -> list[QSeq]:
+    # enumerate_role_candidates as a list: a picklable worker task
+    return list(enumerate_role_candidates(*args, **kwargs))
 
 
 def _collect_candidates(
@@ -263,37 +204,25 @@ def _collect_candidates(
 ) -> list[QSeq]:
     rotation_minimal = plan.reduce_rotation and role == "A"
     if role == "A" and plan.a3_seed is not None:
-        cands = list(
+        return list(
             _a3_candidates(
                 plan.length, plan.a3_seed, half_norm, quarter_norms, rotation_minimal
             )
         )
-    elif plan.workers > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            chunks = pool.map(
-                _enumerate_task,
-                itertools.repeat(plan.length),
-                itertools.repeat(role),
-                itertools.repeat(half_norm),
-                itertools.repeat(quarter_norms),
-                [(idx,) for idx in range(4)],
-                itertools.repeat(rotation_minimal),
-            )
-            cands = [parse_qseq(text) for chunk in chunks for text in chunk]
-    else:
-        cands = list(
-            enumerate_role_candidates(
-                plan.length,
-                role,
-                half_norm,
-                quarter_norms,
-                rotation_minimal=rotation_minimal,
-            )
-        )
-    if plan.float_screen:
-        bound = 2 * plan.length + 2 + plan.tol
-        cands = [c for c in cands if _float_screen_ok(c, bound)]
-    return cands
+    task = functools.partial(
+        _enumerate_task,
+        plan.length,
+        role,
+        half_norm,
+        quarter_norms,
+        rotation_minimal=rotation_minimal,
+    )
+    if plan.workers == 1:
+        return task()
+    # one task per leading symbol, concatenated in symbol order
+    with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+        futures = [pool.submit(task, prefix=(idx,)) for idx in range(4)]
+        return [seq for fut in futures for seq in fut.result()]
 
 
 def paf_join(
@@ -349,6 +278,8 @@ def search_even(plan: SearchPlan) -> Iterator[LegendrePair]:
     every pair out, which is distinct from an exhausted search.
     """
     l = plan.length
+    if plan.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {plan.workers}")
     table = eligible_half_psd_pairs(l).pairs
     if not table:
         raise InfeasibleLengthError(f"no eligible half-lag PSD pair at length {l}")
@@ -386,7 +317,7 @@ def search_even(plan: SearchPlan) -> Iterator[LegendrePair]:
         b_cands = _collect_candidates(plan, "B", y, quarter_b)
         if not b_cands:
             continue
-        for i, j in paf_join(a_cands, b_cands, plan.join_chunk):
+        for i, j in paf_join(a_cands, b_cands):
             a, b = a_cands[i], b_cands[j]
             if plan.reduce_conjugation and not _conjugate_not_smaller(plan, a, b):
                 continue

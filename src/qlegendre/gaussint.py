@@ -18,6 +18,9 @@ class GaussInt:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GaussInt is immutable")
 
+    def __reduce__(self):
+        return GaussInt, (self.re, self.im)
+
     def __add__(self, other: "GaussInt") -> "GaussInt":
         return GaussInt(self.re + other.re, self.im + other.im)
 
@@ -91,6 +94,20 @@ def gauss_sum(values) -> GaussInt:
         re += z.re
         im += z.im
     return GaussInt(re, im)
+
+
+def walk_reachable(x: int, y: int, steps: int, targets) -> bool:
+    """Whether `steps` unit moves can carry (x, y) onto a (tx, ty) target:
+    one lies within Manhattan distance `steps`, with matching parity.
+
+    The one scalar prune of every walk: the even search's role walks and
+    threefold-seed prune, and compression's alphabet and splittings.  The
+    seed search's _SearchTables.alternating_ok is its vectorised twin."""
+    for tx, ty in targets:
+        d = abs(x - tx) + abs(y - ty)
+        if d <= steps and (d - steps) % 2 == 0:
+            return True
+    return False
 
 
 # Token grammar: "a", "bi" or "a+bi" with optional signs; a bare or signed

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional
 
 from .gaussint import GaussInt, format_gauss
 from .sequences import QSeq, format_qseq, parse_qseq, paf, row_sum
@@ -23,16 +24,39 @@ from .sequences import QSeq, format_qseq, parse_qseq, paf, row_sum
 MINUS_TWO = GaussInt(-2, 0)
 
 
-def is_legendre_pair(a: QSeq, b: QSeq) -> bool:
-    """Exact pair test over lags 1..floor(l/2)."""
+def lag_sums(a: QSeq, b: QSeq) -> Iterator[GaussInt]:
+    """paf(A, s) + paf(B, s) for s = 1..floor(l/2), lazily; the length
+    checks run at the call."""
     l = len(a)
     if len(b) != l:
         raise ValueError(f"length mismatch: {l} vs {len(b)}")
     if l < 2:
         raise ValueError("Legendre pairs need length >= 2")
-    return all(
-        paf(a, s) + paf(b, s) == MINUS_TWO for s in range(1, l // 2 + 1)
-    )
+    return (paf(a, s) + paf(b, s) for s in range(1, l // 2 + 1))
+
+
+def lag_sum_ok(total: GaussInt) -> bool:
+    """The pass test for one lag's PAF sum: it must equal -2."""
+    return total == MINUS_TWO
+
+
+def first_failing_lag(
+    a: QSeq, b: QSeq, sums: Optional[Iterable[GaussInt]] = None
+) -> Optional[int]:
+    """First lag whose PAF sum is not -2 (None for a Legendre pair),
+    stopping there.  is_legendre_pair and `qlegendre verify` both decide
+    through it; `sums` passes lag_sums(a, b) already computed."""
+    if sums is None:
+        sums = lag_sums(a, b)
+    for s, total in enumerate(sums, start=1):
+        if not lag_sum_ok(total):
+            return s
+    return None
+
+
+def is_legendre_pair(a: QSeq, b: QSeq) -> bool:
+    """Exact pair test over lags 1..floor(l/2)."""
+    return first_failing_lag(a, b) is None
 
 
 def balance_check(a: QSeq, b: QSeq) -> tuple[GaussInt, GaussInt]:
@@ -64,7 +88,7 @@ def normalize(a: QSeq, b: QSeq) -> tuple[QSeq, QSeq]:
     (alpha, beta) = (0, 1+i).  Idempotent.
     """
     if not is_legendre_pair(a, b):
-        raise ValueError("normalize expects a verified Legendre pair")
+        raise ValueError("input is not a Legendre pair; nothing to build")
     alpha = row_sum(a)
     beta = row_sum(b)
     if len(a) % 2 == 1:

@@ -44,7 +44,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .gaussint import GaussInt, ONE, I, UNITS, format_gauss, unit_index
+from .gaussint import GaussInt, ONE, I, UNITS, format_gauss
 from .numtheory import (
     is_sum_of_two_squares,
     legendre_symbol,
@@ -57,7 +57,6 @@ from .pairs import is_legendre_pair
 
 TWO = GaussInt(2, 0)
 ONE_PLUS_I = GaussInt(1, 1)
-ONE_MINUS_I = GaussInt(1, -1)
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ class HalfVector:
         return build_seed_b(self.p, self.symbols)
 
     def text(self) -> str:
-        return "[" + ",".join(format_gauss(z) for z in self.symbols) + "]"
+        return format_qseq(self.symbols)
 
 
 def seed_pair(p: int) -> SeedPair:
@@ -142,14 +141,7 @@ def build_seed_b(p: int, half: Sequence[GaussInt]) -> QSeq:
 def mod4_filter(p: int, half: Sequence[GaussInt]) -> bool:
     """Exact lag-p test: DFT(B, p) = 1-i + 4*sum_j (-1)^j b_j = a+ib must
     satisfy a^2+b^2 = 4p-2 with a = 1 mod 4 and b = -1 mod 4."""
-    require_odd_prime(p)
-    half = tuple(half)
-    if len(half) != (p - 1) // 2:
-        raise ValueError("half-vector length mismatch")
-    s = GaussInt(0, 0)
-    for j, z in enumerate(half, start=1):
-        s = s - z if j % 2 == 1 else s + z
-    d = ONE_MINUS_I + GaussInt(4 * s.re, 4 * s.im)
+    d = dft_exact(build_seed_b(p, half), p)
     return d.re % 4 == 1 and d.im % 4 == 3 and d.norm() == 4 * p - 2
 
 
@@ -188,6 +180,7 @@ class _SearchTables:
         ]
 
     def alternating_ok(self, ax: np.ndarray, ay: np.ndarray, rem: int) -> np.ndarray:
+        """gaussint.walk_reachable over arrays of walk positions."""
         ok = np.zeros(ax.shape, dtype=bool)
         for tx, ty in self.targets:
             d = np.abs(ax - tx) + np.abs(ay - ty)

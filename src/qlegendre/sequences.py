@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-from .gaussint import GaussInt, gauss_sum, parse_gauss, format_gauss
+from .gaussint import UNITS, GaussInt, gauss_sum, parse_gauss, format_gauss
 
 
 class QSeq:
@@ -37,6 +37,9 @@ class QSeq:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QSeq is immutable")
+
+    def __reduce__(self):
+        return QSeq, (self._entries,)
 
     @property
     def entries(self) -> tuple[GaussInt, ...]:
@@ -163,39 +166,17 @@ def exact_lags(l: int) -> tuple[int, ...]:
 
 def dft_exact(a: Entries, s: int) -> GaussInt:
     """Exact DFT value at the half lag (sum of (-1)^j a_j) or the quarter
-    lag (sum of i^j a_j); any other lag is rejected."""
+    lag (sum of i^j a_j); any other lag is rejected.
+
+    The one home of these weighted sums: psd, the threefold-seed accept
+    test in evensearch and seeds.mod4_filter all call it.
+    """
     ent = _entries(a)
     l = len(ent)
-    if l % 2 == 0 and s == l // 2:
-        re = 0
-        im = 0
-        for j, z in enumerate(ent):
-            if j % 2 == 0:
-                re += z.re
-                im += z.im
-            else:
-                re -= z.re
-                im -= z.im
-        return GaussInt(re, im)
-    if l % 4 == 0 and s == l // 4:
-        re = 0
-        im = 0
-        for j, z in enumerate(ent):
-            k = j % 4
-            if k == 0:
-                re += z.re
-                im += z.im
-            elif k == 1:  # * i
-                re -= z.im
-                im += z.re
-            elif k == 2:
-                re -= z.re
-                im -= z.im
-            else:  # * -i
-                re += z.im
-                im -= z.re
-        return GaussInt(re, im)
-    raise ValueError(f"unsupported exact lag {s} for length {l}")
+    if l == 0 or s not in exact_lags(l):
+        raise ValueError(f"unsupported exact lag {s} for length {l}")
+    step = 4 * s // l  # xi^(j s) = i^(step j), and UNITS[k] = i^k
+    return gauss_sum(z * UNITS[step * j % 4] for j, z in enumerate(ent))
 
 
 def psd(a: Entries, s: int) -> Union[int, float]:

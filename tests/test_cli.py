@@ -213,10 +213,13 @@ def test_hadamard_json_files(capsys, tmp_path):
 
 
 def test_hadamard_rejects_non_pair(capsys, tmp_path):
-    code, _, err = run(
+    code, out, err = run(
         capsys, "hadamard", "[1,1]", "[1,i]", "--out", str(tmp_path / "x")
     )
     assert code == 2
+    assert err == "error: input is not a Legendre pair; nothing to build\n"
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -232,6 +235,40 @@ def test_hadamard_bad_input_exits_2(capsys, tmp_path, argv):
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "[1,-1]", "[1,i,1]"],  # length mismatch
+        ["verify", "[1,x]", "[1,i]"],  # malformed token
+        ["verify", "[1]", "[i]"],  # length 1
+        ["search-seed", "--p", "9"],
+        ["search-seed", "--p", "13", "--prefix-depth", "99"],
+        ["--workers", "0", "search-seed", "--p", "5"],
+        ["search-even", "--length", "7"],
+        ["search-even", "--length", "6", "--a3-seed", "9,9"],
+        ["search-even", "--length", "6", "--psd-pair", "1,2,3"],
+        ["search-even", "--length", "6", "--quarter-pair", "2,10"],
+        ["--workers", "0", "search-even", "--length", "4"],
+        ["compress", "[1,-1]", "--ratio", "0"],
+        ["decompress", "[0,3]", "--ratio", "2"],
+        ["decompress", "[0,2,-2]", "--ratio", "2", "--sample", "-1"],
+        ["decompress", "[0,2,-2]", "--ratio", "2", "--limit", "-1"],
+        ["psd-filters", "--length", "0"],
+    ],
+)
+def test_invalid_input_exits_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_decompress_sample_and_limit_zero(capsys):
+    code, out, _ = run(capsys, "decompress", "[0,2,-2]", "--ratio", "2", "--sample", "0")
+    assert code == 0 and "0 of 4 member(s)" in out
+    code, out, _ = run(capsys, "decompress", "[0,2,-2]", "--ratio", "2", "--limit", "0")
+    assert code == 0 and "0 of 4 member(s)" in out
 
 
 def test_missing_subcommand_exits_via_argparse(capsys):

@@ -13,6 +13,7 @@ from qlegendre.compression import (
     entry_in_alphabet,
     entry_splittings,
     format_compressed,
+    interleave,
     parse_compressed,
 )
 from qlegendre.gaussint import GaussInt, ONE, gauss_sum
@@ -29,6 +30,14 @@ def test_alphabet_size_and_membership():
         # parity excluded values
         assert not entry_in_alphabet(GaussInt(m, 1), m)
         assert not entry_in_alphabet(GaussInt(m + 1, 0), m)
+
+
+def test_interleave_inverts_residue_classes(rng):
+    for _ in range(100):
+        k = rng.choice((1, 2, 3, 4, 6))
+        a = random_qseq(rng, k * rng.randint(1, 4))
+        ent = a.entries
+        assert interleave([ent[j::k] for j in range(k)]) == a
 
 
 def test_compress_shape_and_sums(rng):

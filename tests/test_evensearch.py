@@ -241,6 +241,8 @@ def test_requested_pair_validation():
         list(search_even(SearchPlan(4, quarter_pair=(3, 7))))
     with pytest.raises(ValueError):
         list(search_even(SearchPlan(6, quarter_pair=(0, 14))))
+    with pytest.raises(ValueError, match="workers"):
+        list(search_even(SearchPlan(4, workers=0)))
 
 
 def test_infeasible_length_signal(monkeypatch):
@@ -284,18 +286,21 @@ def test_corpus_pair_is_rediscovered_at_length_6():
     assert key in _texts(SearchPlan(6, a3_seed=seed))
 
 
-def test_float_screen_changes_nothing():
-    base = _texts(SearchPlan(4))
-    screened = _texts(SearchPlan(4, float_screen=True))
-    assert screened == base
-
-
-def test_join_chunk_changes_nothing():
-    assert _texts(SearchPlan(4, join_chunk=1)) == _texts(SearchPlan(4))
-
-
 @pytest.mark.slow
 def test_two_workers_match_serial():
     serial = _texts(SearchPlan(4))
     parallel = _texts(SearchPlan(4, workers=2))
     assert parallel == serial
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("l", [6, 8])
+@pytest.mark.parametrize(
+    "kw",
+    [{}, {"reduce_rotation": True, "reduce_conjugation": True}, {"first_only": True}],
+    ids=["complete", "reduced", "first_only"],
+)
+def test_two_workers_match_serial_at_6_and_8(l, kw):
+    serial = _texts(SearchPlan(l, **kw))
+    assert serial
+    assert _texts(SearchPlan(l, workers=2, **kw)) == serial

@@ -1,4 +1,5 @@
 """Exact Z[i] scalar arithmetic, checked against Python's complex."""
+import pickle
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from qlegendre.gaussint import (
     gauss_sum,
     parse_gauss,
     unit_index,
+    walk_reachable,
 )
 
 
@@ -32,6 +34,27 @@ def test_units_and_index():
     assert not GaussInt(1, 1).is_unit()
     with pytest.raises(ValueError):
         unit_index(GaussInt(2, 0))
+
+
+def test_pickle_round_trip():
+    for z in (ZERO, GaussInt(-3, 7), *UNITS):
+        back = pickle.loads(pickle.dumps(z))
+        assert back == z and type(back) is GaussInt
+    with pytest.raises(AttributeError):
+        back.re = 5
+
+
+def test_walk_reachable_matches_brute_force():
+    # the positions `steps` unit moves can reach from the origin
+    reach = {(0, 0)}
+    for steps in range(6):
+        for x in range(-7, 8):
+            for y in range(-7, 8):
+                for targets in (((0, 0),), ((1, 1),), ((2, -1), (-3, 0))):
+                    want = any((tx - x, ty - y) in reach for tx, ty in targets)
+                    assert walk_reachable(x, y, steps, targets) == want
+        reach = {(x + u.re, y + u.im) for x, y in reach for u in UNITS}
+    assert not walk_reachable(0, 0, 3, ())
 
 
 def test_arithmetic_matches_complex():

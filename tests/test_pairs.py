@@ -11,7 +11,9 @@ from qlegendre.pairs import (
     LegendrePair,
     balance_check,
     canonical_key,
+    first_failing_lag,
     is_legendre_pair,
+    lag_sums,
     normalize,
     pair_from_json,
     pair_to_json,
@@ -32,6 +34,23 @@ def test_length_mismatch_and_short():
         is_legendre_pair(parse_qseq("[1,-1]"), parse_qseq("[1,i,-1]"))
     with pytest.raises(ValueError):
         is_legendre_pair(parse_qseq("[1]"), parse_qseq("[1]"))
+
+
+def test_first_failing_lag_matches_per_lag_sums(rng):
+    for _ in range(300):
+        l = rng.randint(2, 12)
+        a, b = random_qseq(rng, l), random_qseq(rng, l)
+        sums = [paf(a, s) + paf(b, s) for s in range(1, l // 2 + 1)]
+        assert list(lag_sums(a, b)) == sums
+        bad = [s for s, t in enumerate(sums, start=1) if t != GaussInt(-2, 0)]
+        want = bad[0] if bad else None
+        assert first_failing_lag(a, b) == want
+        assert first_failing_lag(a, b, sums) == want
+        assert is_legendre_pair(a, b) == (want is None)
+    for _, pair in all_corpus_pairs():
+        assert first_failing_lag(pair.a, pair.b) is None
+    with pytest.raises(ValueError, match="length mismatch"):
+        lag_sums(parse_qseq("[1,-1]"), parse_qseq("[1,i,-1]"))
 
 
 def test_random_pairs_rarely_legendre(rng):

@@ -1,5 +1,6 @@
 """Sequence layer: PAF, DFT, PSD and the exact special lags."""
 import cmath
+import pickle
 import random
 
 import pytest
@@ -27,6 +28,14 @@ def test_qseq_validation():
         QSeq([ONE, GaussInt(2, 0)])
     with pytest.raises(ValueError):
         QSeq([ONE, GaussInt(0, 0)])
+
+
+def test_qseq_pickle_round_trip(rng):
+    for l in (1, 2, 7, 12):
+        a = random_qseq(rng, l)
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a and type(back) is QSeq
+        assert all(type(z) is GaussInt for z in back)
 
 
 def test_qseq_periodic_indexing_and_moves():
