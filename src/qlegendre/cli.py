@@ -73,7 +73,7 @@ def _load_pair_args(args: argparse.Namespace) -> tuple[QSeq, QSeq]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     a, b = _load_pair_args(args)
-    sums = list(lag_sums(a, b))
+    sums = lag_sums(a, b)
     failing = first_failing_lag(a, b, sums)
     ok = failing is None
     l = len(a)
@@ -96,7 +96,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"length {l}")
         print(f"alpha {format_gauss(alpha)}  beta {format_gauss(beta)}")
         for s, total in enumerate(sums, start=1):
-            mark = "ok" if lag_sum_ok(total) else "FAIL"
+            mark = "ok" if lag_sum_ok(total.re, total.im) else "FAIL"
             print(f"lag {s}: PAF(A)+PAF(B) = {format_gauss(total)} {mark}")
         if half is not None:
             print(f"half-lag PSD: A {half[0]}, B {half[1]}")
@@ -362,8 +362,14 @@ def _cmd_hadamard(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # the CLI's invalid-input form: an `error:` line, the usage, exit 2
+        self.exit(EXIT_INVALID, f"error: {message}\n{self.format_usage()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qlegendre",
         description="Exact search, verification and Hadamard constructions "
         "for quaternary Legendre pairs.",
@@ -426,9 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decompress", help="enumerate members of a compression")
     sp.add_argument("compressed")
     sp.add_argument("--ratio", type=int, required=True, help="units per entry m")
-    sp.add_argument("--limit", type=int, default=None)
     sp.add_argument("--count", action="store_true", help="print the count only")
-    sp.add_argument("--sample", type=int, default=None, help="random members")
+    group = sp.add_mutually_exclusive_group()
+    group.add_argument("--limit", type=int, default=None)
+    group.add_argument("--sample", type=int, default=None, help="random members")
     sp.set_defaults(func=_cmd_decompress)
 
     sp = sub.add_parser("psd-filters", help="eligibility tables for a length")

@@ -3,23 +3,27 @@
 Pipeline: the eligibility table fixes the exact values the half-lag PSDs
 can take; per-role candidate enumeration walks the 4^l entry tree
 depth-first, pruning on three exact integer walks (row sum, alternating
-sum, i-weighted quarter sum where 4 | l) through gaussint.walk_reachable;
-a hash join on exact PAF half-profiles then pairs the roles, probing with
--2 - paf(B, s).  Every emitted pair is re-verified exactly.  The search
-is integer arithmetic throughout: no float enters this module.
+sum, i-weighted quarter sum where 4 | l) through gaussint.walk_reachable.
+A role's candidates form one (N, l) int8 array of exponent rows (entry
+i^e stored as e); a hash join on their exact sequences.paf_rows
+half-profiles pairs the roles, probing with -2 - paf(B, s).  Each table
+entry's emitted pairs are re-verified from their rows in one
+pairs.first_failing_lags call, and a QSeq is built only for output, once
+per candidate.  No float enters this module.
 
 A threefold seed (a3_seed) replaces the A walk by the decompressions of
 seed_a3, pruned by the same walks and accepted on the exact row sum and
 dft_exact values.  With workers > 1 each role's tree is split by its
-leading symbol over a process pool; the workers return QSeq lists, which
-are concatenated in symbol order, so the output equals the serial run.
+leading symbol over a process pool; the workers' exponent arrays are
+concatenated in symbol order, so the output equals the serial run.
 
 Symmetry reductions are explicit plan flags, default off, so that
 exhaustiveness claims stay honest: rotation keeps only rotation-minimal
 A members (any rotation of A preserves the pair property), conjugation
 keeps one of {(A, B), (conj A, i conj B)} — the i rescaling restores
-B's canonical row sum 1+i after conjugation.  With reductions off the
-output is the complete set of canonical-form pairs in deterministic
+B's canonical row sum 1+i after conjugation.  Both compare exponent rank
+keys (_rank), which order like format_qseq texts.  With reductions off
+the output is the complete set of canonical-form pairs in deterministic
 order.
 """
 from __future__ import annotations
@@ -28,12 +32,14 @@ import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .gaussint import GaussInt, UNITS, ZERO, gauss_sum, walk_reachable
+import numpy as np
+
+from .gaussint import GaussInt, UNITS, ZERO, gauss_sum, unit_index, walk_reachable
 from .numtheory import two_square_reps
-from .sequences import QSeq, dft_exact, format_qseq, paf, row_sum
-from .pairs import LegendrePair
+from .sequences import QSeq, dft_exact, paf_rows, row_sum, unit_rows
+from .pairs import LegendrePair, first_failing_lags
 from .psdfilters import eligible_half_psd_pairs, seed_a3
 from .compression import decompress
 
@@ -60,7 +66,16 @@ class SearchPlan:
 _ROW_TARGET = {"A": (0, 0), "B": (1, 1)}
 
 
-def enumerate_role_candidates(
+def enumerate_role_candidates(*args, **kwargs) -> Iterator[QSeq]:
+    """The sequences of _role_exponents, as QSeqs."""
+    return map(_qseq, _role_exponents(*args, **kwargs))
+
+
+def _qseq(exps: Iterable[int]) -> QSeq:
+    return QSeq(UNITS[e] for e in exps)
+
+
+def _role_exponents(
     l: int,
     role: str,
     half_norm: int,
@@ -68,9 +83,9 @@ def enumerate_role_candidates(
     *,
     prefix: tuple[int, ...] = (),
     rotation_minimal: bool = False,
-) -> Iterator[QSeq]:
-    """All length-l sequences for one role, DFS order over the canonical
-    symbol order.
+) -> Iterator[tuple[int, ...]]:
+    """All length-l exponent tuples for one role, DFS order over the
+    canonical symbol order.
 
     Constraints: row sum 0 for role A and 1+i for role B; alternating sum
     of norm half_norm; when quarter_norms is given (4 | l), the i-weighted
@@ -108,7 +123,7 @@ def enumerate_role_candidates(
 
     def walk(
         j: int, rx: int, ry: int, ax: int, ay: int, qx: int, qy: int
-    ) -> Iterator[QSeq]:
+    ) -> Iterator[tuple[int, ...]]:
         if j == l:
             if (rx, ry) != row_targets[0]:
                 return
@@ -116,10 +131,9 @@ def enumerate_role_candidates(
                 return
             if quarter_set is not None and (qx * qx + qy * qy) not in quarter_set:
                 return
-            seq = QSeq(UNITS[i] for i in chosen)
-            if rotation_minimal and not _is_rotation_minimal(seq):
+            if rotation_minimal and not _is_rotation_minimal(chosen):
                 return
-            yield seq
+            yield tuple(chosen)
             return
         rem = l - j - 1
         alt_sign = 1 if j % 2 == 0 else -1
@@ -147,9 +161,15 @@ def enumerate_role_candidates(
     return walk(0, 0, 0, 0, 0, 0, 0)
 
 
-def _is_rotation_minimal(seq: QSeq) -> bool:
-    key = format_qseq(seq)
-    return all(format_qseq(seq.rotated(k)) >= key for k in range(1, len(seq)))
+def _rank(exps: Iterable[int]) -> tuple[int, ...]:
+    # format_qseq orders tokens -1 < -i < 1 < i, so exponents 0, 1, 2, 3
+    # rank 2, 3, 0, 1; comparing rank tuples compares the texts
+    return tuple((e + 2) & 3 for e in exps)
+
+
+def _is_rotation_minimal(exps: Sequence[int]) -> bool:
+    key = _rank(exps)
+    return all(key[k:] + key[:k] >= key for k in range(1, len(key)))
 
 
 def _a3_candidates(
@@ -186,14 +206,15 @@ def _a3_candidates(
             return False
         if quarter_set is not None and dft_exact(seq, l // 4).norm() not in quarter_set:
             return False
-        return not rotation_minimal or _is_rotation_minimal(seq)
+        return not rotation_minimal or _is_rotation_minimal(list(map(unit_index, seq)))
 
     return decompress(comp, predicate=accept, prune=prune)
 
 
-def _enumerate_task(*args, **kwargs) -> list[QSeq]:
-    # enumerate_role_candidates as a list: a picklable worker task
-    return list(enumerate_role_candidates(*args, **kwargs))
+def _enumerate_task(l: int, *args, **kwargs) -> np.ndarray:
+    # the role walk as one exponent array: a picklable worker task
+    exps = itertools.chain.from_iterable(_role_exponents(l, *args, **kwargs))
+    return np.fromiter(exps, dtype=np.int8).reshape(-1, l)
 
 
 def _collect_candidates(
@@ -201,14 +222,12 @@ def _collect_candidates(
     role: str,
     half_norm: int,
     quarter_norms: Optional[tuple[int, ...]],
-) -> list[QSeq]:
+) -> np.ndarray:
     rotation_minimal = plan.reduce_rotation and role == "A"
     if role == "A" and plan.a3_seed is not None:
-        return list(
-            _a3_candidates(
-                plan.length, plan.a3_seed, half_norm, quarter_norms, rotation_minimal
-            )
-        )
+        return unit_rows(list(_a3_candidates(
+            plan.length, plan.a3_seed, half_norm, quarter_norms, rotation_minimal
+        )))
     task = functools.partial(
         _enumerate_task,
         plan.length,
@@ -222,53 +241,46 @@ def _collect_candidates(
     # one task per leading symbol, concatenated in symbol order
     with ProcessPoolExecutor(max_workers=plan.workers) as pool:
         futures = [pool.submit(task, prefix=(idx,)) for idx in range(4)]
-        return [seq for fut in futures for seq in fut.result()]
+        return np.concatenate([fut.result() for fut in futures])
 
 
 def paf_join(
-    a_cands: Sequence[QSeq], b_cands: Sequence[QSeq], chunk: int = 1 << 20
+    a_cands: Sequence, b_cands: Sequence, chunk: int = 1 << 20
 ) -> list[tuple[int, int]]:
     """Index pairs (i, j) with paf(A_i, s) + paf(B_j, s) = -2 on every
     lag 1..l/2 — output order identical to the quadratic double loop.
 
-    The B side is hashed in chunks of at most `chunk` entries, bounding
-    the table size regardless of candidate counts.
+    Candidates are exponent rows or QSeq lists.  The B side is hashed in
+    chunks of at most `chunk` entries, bounding the table size regardless
+    of candidate counts.
     """
-    if not a_cands or not b_cands:
+    a_rows, b_rows = unit_rows(a_cands), unit_rows(b_cands)
+    if len(a_rows) == 0 or len(b_rows) == 0:
         return []
-    l = len(a_cands[0])
-    half = l // 2
-
-    def a_key(seq: QSeq) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (v.re, v.im) for v in (paf(seq, s) for s in range(1, half + 1))
-        )
-
-    def b_probe(seq: QSeq) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (-2 - v.re, -v.im) for v in (paf(seq, s) for s in range(1, half + 1))
-        )
-
+    a_keys = [key.tobytes() for key in paf_rows(a_rows)]
+    probes = np.array([-2, 0]) - paf_rows(b_rows)
     matches: list[tuple[int, int]] = []
-    for lo in range(0, len(b_cands), chunk):
-        table: dict[tuple, list[int]] = {}
-        for j in range(lo, min(lo + chunk, len(b_cands))):
-            table.setdefault(b_probe(b_cands[j]), []).append(j)
-        for i, a in enumerate(a_cands):
-            hit = table.get(a_key(a))
+    for lo in range(0, len(b_rows), chunk):
+        table: dict[bytes, list[int]] = {}
+        for j, probe in enumerate(probes[lo:lo + chunk], start=lo):
+            table.setdefault(probe.tobytes(), []).append(j)
+        for i, key in enumerate(a_keys):
+            hit = table.get(key)
             if hit:
                 matches.extend((i, j) for j in hit)
     matches.sort()
     return matches
 
 
-def _conjugate_not_smaller(plan: SearchPlan, a: QSeq, b: QSeq) -> bool:
+def _conjugate_not_smaller(plan: SearchPlan, a_row, b_row) -> bool:
     # the canonical-space conjugation partner: conjugating both roles
-    # flips B's row sum to 1-i, so B is rescaled by i to restore 1+i
-    ca, cb = a.conj(), b.conj().scaled(GaussInt(0, 1))
+    # flips B's row sum to 1-i, so B is rescaled by i to restore 1+i;
+    # conjugation negates exponents and scaling by i adds 1
+    a, b = a_row.tolist(), b_row.tolist()
+    ca, cb = _rank(-e for e in a), _rank(1 - e for e in b)
     if plan.reduce_rotation:
-        ca = min((ca.rotated(k) for k in range(len(ca))), key=format_qseq)
-    return (format_qseq(a), format_qseq(b)) <= (format_qseq(ca), format_qseq(cb))
+        ca = min(ca[k:] + ca[:k] for k in range(len(ca)))
+    return (_rank(a), _rank(b)) <= (ca, cb)
 
 
 def search_even(plan: SearchPlan) -> Iterator[LegendrePair]:
@@ -283,27 +295,22 @@ def search_even(plan: SearchPlan) -> Iterator[LegendrePair]:
     table = eligible_half_psd_pairs(l).pairs
     if not table:
         raise InfeasibleLengthError(f"no eligible half-lag PSD pair at length {l}")
-    if plan.half_pair is not None:
-        if plan.half_pair not in table:
-            raise ValueError(
-                f"requested half-lag pair {plan.half_pair} is not eligible at "
-                f"length {l}; table: {list(table)}"
-            )
-        targets = (plan.half_pair,)
-    else:
-        targets = table
 
+    def eligible(pair: tuple[int, int], what: str) -> tuple[int, int]:
+        if pair not in table:
+            raise ValueError(
+                f"requested {what} pair {pair} is not eligible at length {l}; "
+                f"table: {list(table)}"
+            )
+        return pair
+
+    targets = table if plan.half_pair is None else (eligible(plan.half_pair, "half-lag"),)
     quarter_a: Optional[tuple[int, ...]] = None
     quarter_b: Optional[tuple[int, ...]] = None
     if l % 4 == 0:
         if plan.quarter_pair is not None:
-            if plan.quarter_pair not in table:
-                raise ValueError(
-                    f"requested quarter-lag pair {plan.quarter_pair} is not "
-                    f"eligible at length {l}; table: {list(table)}"
-                )
-            quarter_a = (plan.quarter_pair[0],)
-            quarter_b = (plan.quarter_pair[1],)
+            qa, qb = eligible(plan.quarter_pair, "quarter-lag")
+            quarter_a, quarter_b = (qa,), (qb,)
         else:
             quarter_a = tuple(sorted({x for x, _ in table}))
             quarter_b = tuple(sorted({y for _, y in table}))
@@ -311,19 +318,32 @@ def search_even(plan: SearchPlan) -> Iterator[LegendrePair]:
         raise ValueError(f"quarter-lag constraint needs 4 | l, got l={l}")
 
     for x, y in targets:
-        a_cands = _collect_candidates(plan, "A", x, quarter_a)
-        if not a_cands:
+        a_rows = _collect_candidates(plan, "A", x, quarter_a)
+        if len(a_rows) == 0:
             continue
-        b_cands = _collect_candidates(plan, "B", y, quarter_b)
-        if not b_cands:
+        b_rows = _collect_candidates(plan, "B", y, quarter_b)
+        matches = paf_join(a_rows, b_rows)
+        if plan.reduce_conjugation:
+            keep = functools.partial(_conjugate_not_smaller, plan)
+            matches = [(i, j) for i, j in matches if keep(a_rows[i], b_rows[j])]
+        if plan.first_only:
+            matches = matches[:1]
+        if not matches:
             continue
-        for i, j in paf_join(a_cands, b_cands):
-            a, b = a_cands[i], b_cands[j]
-            if plan.reduce_conjugation and not _conjugate_not_smaller(plan, a, b):
-                continue
-            pair = LegendrePair.check(a, b)
-            if not pair.verified:
+        ii, jj = np.array(matches).T
+        failing = first_failing_lags(a_rows[ii], b_rows[jj]).tolist()
+        # one QSeq and row sum per candidate, shared by all its pairs
+        a_out = {i: _output(a_rows[i]) for i in set(ii.tolist())}
+        b_out = {j: _output(b_rows[j]) for j in set(jj.tolist())}
+        for (i, j), lag in zip(matches, failing):
+            if lag:
                 raise AssertionError("paf_join emitted a non-pair")
-            yield pair
+            (a, alpha), (b, beta) = a_out[i], b_out[j]
+            yield LegendrePair(a, b, alpha, beta, verified=not lag)
             if plan.first_only:
                 return
+
+
+def _output(row: np.ndarray) -> tuple[QSeq, GaussInt]:
+    seq = _qseq(row.tolist())
+    return seq, row_sum(seq)

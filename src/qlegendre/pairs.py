@@ -16,42 +16,57 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
+
+import numpy as np
 
 from .gaussint import GaussInt, format_gauss
-from .sequences import QSeq, format_qseq, parse_qseq, paf, row_sum
-
-MINUS_TWO = GaussInt(-2, 0)
+from .sequences import QSeq, format_qseq, parse_qseq, paf_rows, row_sum, unit_rows
 
 
-def lag_sums(a: QSeq, b: QSeq) -> Iterator[GaussInt]:
-    """paf(A, s) + paf(B, s) for s = 1..floor(l/2), lazily; the length
-    checks run at the call."""
-    l = len(a)
-    if len(b) != l:
-        raise ValueError(f"length mismatch: {l} vs {len(b)}")
+def lag_sum_ok(re, im):
+    """The pass rule for a lag's PAF sum re + im*i: it must equal -2.
+    Elementwise on arrays; the batch test and `qlegendre verify`'s per-lag
+    marks share it."""
+    return (re == -2) & (im == 0)
+
+
+def _lag_sum_rows(a_rows, b_rows) -> np.ndarray:
+    # paf(A, s) + paf(B, s) for s = 1..l//2 per row pair, after the length checks
+    a_rows, b_rows = unit_rows(a_rows), unit_rows(b_rows)
+    l = a_rows.shape[1]
+    if b_rows.shape[1] != l:
+        raise ValueError(f"length mismatch: {l} vs {b_rows.shape[1]}")
+    if len(a_rows) != len(b_rows):
+        raise ValueError(f"row count mismatch: {len(a_rows)} vs {len(b_rows)}")
     if l < 2:
         raise ValueError("Legendre pairs need length >= 2")
-    return (paf(a, s) + paf(b, s) for s in range(1, l // 2 + 1))
+    return paf_rows(a_rows) + paf_rows(b_rows)
 
 
-def lag_sum_ok(total: GaussInt) -> bool:
-    """The pass test for one lag's PAF sum: it must equal -2."""
-    return total == MINUS_TWO
+def first_failing_lags(a_rows, b_rows) -> np.ndarray:
+    """Batch pair test over matching rows of two exponent arrays or QSeq
+    lists: per row, the first lag whose PAF sum is not -2, or 0 for a
+    Legendre pair."""
+    sums = _lag_sum_rows(a_rows, b_rows)
+    ok = lag_sum_ok(sums[..., 0], sums[..., 1])
+    return np.where(ok.all(axis=1), 0, ok.argmin(axis=1) + 1)
+
+
+def lag_sums(a: QSeq, b: QSeq) -> list[GaussInt]:
+    """paf(A, s) + paf(B, s) for s = 1..floor(l/2)."""
+    return [GaussInt(re, im) for re, im in _lag_sum_rows((a,), (b,))[0].tolist()]
 
 
 def first_failing_lag(
     a: QSeq, b: QSeq, sums: Optional[Iterable[GaussInt]] = None
 ) -> Optional[int]:
-    """First lag whose PAF sum is not -2 (None for a Legendre pair),
-    stopping there.  is_legendre_pair and `qlegendre verify` both decide
-    through it; `sums` passes lag_sums(a, b) already computed."""
+    """First lag whose PAF sum is not -2 (None for a Legendre pair): the
+    one-row case of first_failing_lags.  `qlegendre verify` passes `sums`,
+    the lag_sums(a, b) it already holds."""
     if sums is None:
-        sums = lag_sums(a, b)
-    for s, total in enumerate(sums, start=1):
-        if not lag_sum_ok(total):
-            return s
-    return None
+        return int(first_failing_lags((a,), (b,))[0]) or None
+    return next((s for s, t in enumerate(sums, 1) if not lag_sum_ok(t.re, t.im)), None)
 
 
 def is_legendre_pair(a: QSeq, b: QSeq) -> bool:

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-from .gaussint import UNITS, GaussInt, gauss_sum, parse_gauss, format_gauss
+import numpy as np
+
+from .gaussint import UNITS, GaussInt, gauss_sum, parse_gauss, format_gauss, unit_index
 
 
 class QSeq:
@@ -134,6 +136,32 @@ def paf(a: Entries, s: int) -> GaussInt:
         re += x.re * y.re + x.im * y.im
         im += x.im * y.re - x.re * y.im
     return GaussInt(re, im)
+
+
+def unit_rows(seqs: Union[np.ndarray, Iterable[Entries]]) -> np.ndarray:
+    """(N, l) int8 exponent rows of unit sequences: entry i^e is stored
+    as e.  An array passes through unchanged."""
+    if isinstance(seqs, np.ndarray):
+        return seqs
+    return np.array([[unit_index(z) for z in seq] for seq in seqs], dtype=np.int8)
+
+
+# i^d for d = 0..3: the real and the imaginary part tables
+_UNIT_PARTS = np.array([[z.re for z in UNITS], [z.im for z in UNITS]], dtype=np.int8)
+
+
+@lru_cache(maxsize=None)
+def _lag_index(l: int) -> np.ndarray:
+    # row s-1 holds the positions j+s mod l, j = 0..l-1, for lags 1..l//2
+    return (np.arange(1, l // 2 + 1)[:, None] + np.arange(l)) % l
+
+
+def paf_rows(rows: np.ndarray) -> np.ndarray:
+    """Exact PAF of exponent rows at lags 1..l//2, as an (N, l//2, 2)
+    int64 array of (re, im): each term is i^d, d = (e_j - e_{j+s}) & 3,
+    so re counts d = 0 minus d = 2 and im counts d = 1 minus d = 3."""
+    d = (rows[:, None, :] - rows[:, _lag_index(rows.shape[1])]) & 3
+    return np.stack([t[d].sum(axis=-1, dtype=np.int64) for t in _UNIT_PARTS], axis=-1)
 
 
 @lru_cache(maxsize=None)

@@ -3,8 +3,9 @@ import io
 import json
 
 import pytest
+from conftest import join_with_a_non_pair
 
-from qlegendre import cli
+from qlegendre import cli, evensearch
 from qlegendre.hadamard import is_binary_hadamard, is_quaternary_hadamard
 from qlegendre.matrices import parse_matrix_text
 from qlegendre.pairs import is_legendre_pair
@@ -12,7 +13,10 @@ from qlegendre.sequences import parse_qseq
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse's own rejections
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -255,6 +259,7 @@ def test_hadamard_bad_input_exits_2(capsys, tmp_path, argv):
         ["decompress", "[0,3]", "--ratio", "2"],
         ["decompress", "[0,2,-2]", "--ratio", "2", "--sample", "-1"],
         ["decompress", "[0,2,-2]", "--ratio", "2", "--limit", "-1"],
+        ["decompress", "[0,2,-2]", "--ratio", "2", "--sample", "3", "--limit", "1"],
         ["psd-filters", "--length", "0"],
     ],
 )
@@ -262,6 +267,26 @@ def test_invalid_input_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        (["verify", "[1,1]", "[1,i]"], 1, "out", "not a Legendre pair"),
+        (["search-seed", "--p", "23"], 1, "out", "0 half-vector(s) for p=23"),
+        (["search-even", "--length", "6", "--all", "--no-reductions"], 3, "err",
+         "internal error:"),
+    ],
+    ids=["verify-non-pair", "search-seed-none", "search-even-join-defect"],
+)
+def test_negative_and_internal_exit_codes(capsys, monkeypatch, argv, code, stream, text):
+    if code == 3:  # the re-verification must catch a join defect
+        bad_join = join_with_a_non_pair(evensearch.paf_join)
+        monkeypatch.setattr(evensearch, "paf_join", bad_join)
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert text in (out if stream == "out" else err)
+    assert "Traceback" not in err
 
 
 def test_decompress_sample_and_limit_zero(capsys):

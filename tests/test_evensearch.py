@@ -2,7 +2,7 @@
 import itertools
 
 import pytest
-from conftest import random_qseq
+from conftest import join_with_a_non_pair, random_qseq
 
 from qlegendre.evensearch import (
     InfeasibleLengthError,
@@ -17,7 +17,7 @@ from qlegendre.pairs import is_legendre_pair
 from qlegendre.psdfilters import PsdPairTable, a3_seed_candidates, eligible_half_psd_pairs
 from qlegendre.compression import compress
 from qlegendre.corpus import corpus_seed_pair
-from qlegendre.sequences import QSeq, format_qseq, paf, parse_qseq, psd, row_sum
+from qlegendre.sequences import QSeq, format_qseq, paf, parse_qseq, psd, row_sum, unit_rows
 
 I = GaussInt(0, 1)
 
@@ -142,7 +142,23 @@ def test_paf_join_matches_double_loop(rng):
                 expected.append((i, j))
     assert paf_join(a_list, b_list) == expected
     assert paf_join(a_list, b_list, chunk=1) == expected
+    assert paf_join(unit_rows(a_list), unit_rows(b_list)) == expected
+    assert paf_join(unit_rows(a_list), unit_rows(b_list), chunk=7) == expected
     assert paf_join([], b_list) == []
+
+
+def test_rank_key_follows_text_order():
+    for l in range(1, 7):
+        exps = list(itertools.product(range(4), repeat=l))
+        by_rank = sorted(exps, key=evensearch._rank)
+        by_text = sorted(exps, key=lambda e: format_qseq(QSeq(UNITS[k] for k in e)))
+        assert by_rank == by_text
+
+
+def test_join_defect_is_caught_by_reverification(monkeypatch):
+    monkeypatch.setattr(evensearch, "paf_join", join_with_a_non_pair(paf_join))
+    with pytest.raises(AssertionError, match="non-pair"):
+        list(search_even(SearchPlan(6)))
 
 
 FULL_L2 = [

@@ -12,13 +12,14 @@ from qlegendre.pairs import (
     balance_check,
     canonical_key,
     first_failing_lag,
+    first_failing_lags,
     is_legendre_pair,
     lag_sums,
     normalize,
     pair_from_json,
     pair_to_json,
 )
-from qlegendre.sequences import QSeq, parse_qseq, paf, row_sum
+from qlegendre.sequences import QSeq, parse_qseq, paf, row_sum, unit_rows
 
 
 def test_tiny_known_pair():
@@ -51,6 +52,38 @@ def test_first_failing_lag_matches_per_lag_sums(rng):
         assert first_failing_lag(pair.a, pair.b) is None
     with pytest.raises(ValueError, match="length mismatch"):
         lag_sums(parse_qseq("[1,-1]"), parse_qseq("[1,i,-1]"))
+
+
+def _one_changed(rng, seq):
+    j = rng.randrange(len(seq))
+    ent = list(seq.entries)
+    ent[j] = rng.choice([u for u in UNITS if u != ent[j]])
+    return QSeq(ent)
+
+
+def test_batch_test_matches_single_pair_test(rng):
+    for l in (2, 3, 8, 13):
+        a_list = [random_qseq(rng, l) for _ in range(50)]
+        b_list = [random_qseq(rng, l) for _ in range(50)]
+        want = [first_failing_lag(a, b) or 0 for a, b in zip(a_list, b_list)]
+        assert first_failing_lags(unit_rows(a_list), unit_rows(b_list)).tolist() == want
+        assert first_failing_lags(a_list, b_list).tolist() == want
+    a_list, b_list = [], []
+    for _, pair in all_corpus_pairs():
+        a_list += [pair.a, _one_changed(rng, pair.a), pair.a]
+        b_list += [pair.b, pair.b, _one_changed(rng, pair.b)]
+    for l in sorted({len(a) for a in a_list}):
+        idx = [k for k, a in enumerate(a_list) if len(a) == l]
+        got = first_failing_lags([a_list[k] for k in idx], [b_list[k] for k in idx])
+        want = [first_failing_lag(a_list[k], b_list[k]) or 0 for k in idx]
+        assert got.tolist() == want
+        assert want[0::3] == [0] * (len(idx) // 3)
+        if l > 2:  # at l = 2 a changed member can still form a pair
+            assert all(want[1::3]) and all(want[2::3])
+    with pytest.raises(ValueError, match="length mismatch"):
+        first_failing_lags([parse_qseq("[1,-1]")], [parse_qseq("[1,i,-1]")])
+    with pytest.raises(ValueError, match="row count mismatch"):
+        first_failing_lags([parse_qseq("[1,-1]")], [parse_qseq("[1,i]")] * 2)
 
 
 def test_random_pairs_rarely_legendre(rng):

@@ -3,9 +3,11 @@ import cmath
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_qseq
+from qlegendre.corpus import all_corpus_pairs
 from qlegendre.gaussint import GaussInt, I, MINUS_ONE, ONE, UNITS
 from qlegendre.sequences import (
     QSeq,
@@ -14,10 +16,12 @@ from qlegendre.sequences import (
     exact_lags,
     format_qseq,
     paf,
+    paf_rows,
     parse_qseq,
     psd,
     psd_profile,
     row_sum,
+    unit_rows,
 )
 
 
@@ -69,6 +73,30 @@ def test_paf_matches_direct_sum(rng):
         for s in range(len(a)):
             got = paf(a, s)
             assert complex(got) == _paf_direct(a, s)
+
+
+def _assert_paf_rows_match(seqs):
+    rows = unit_rows(seqs)
+    assert rows.dtype == np.int8 and unit_rows(rows) is rows
+    got = paf_rows(rows)
+    l = len(seqs[0])
+    assert got.dtype == np.int64 and got.shape == (len(seqs), l // 2, 2)
+    for k, seq in enumerate(seqs):
+        assert [tuple(v) for v in got[k].tolist()] == [
+            (paf(seq, s).re, paf(seq, s).im) for s in range(1, l // 2 + 1)
+        ]
+
+
+def test_paf_rows_match_paf(rng):
+    for l in range(2, 42):
+        _assert_paf_rows_match([random_qseq(rng, l) for _ in range(6)])
+    for _, pair in all_corpus_pairs():
+        _assert_paf_rows_match([pair.a, pair.b])
+
+
+def test_unit_rows_rejects_non_units():
+    with pytest.raises(ValueError):
+        unit_rows([[ONE, GaussInt(1, 1)]])
 
 
 def test_paf_zero_lag_is_length(rng):
