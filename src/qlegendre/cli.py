@@ -176,13 +176,7 @@ def _cmd_search_seed(args: argparse.Namespace) -> int:
         else:
             print(msg)
         return EXIT_NEGATIVE
-    found = seed_search(
-        p,
-        first_only=args.first,
-        tol=args.tol,
-        prefix_depth=args.prefix_depth,
-        workers=args.workers,
-    )
+    found = seed_search(p, first_only=args.first, tol=args.tol, workers=args.workers)
     rows = []
     for half in found:
         row = {"half": half.text()}
@@ -396,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search-seed", help="search half-vectors for length 2p")
     sp.add_argument("--p", type=int, required=True, help="odd prime")
-    sp.add_argument("--prefix-depth", type=int, default=None)
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--all", dest="first", action="store_false", default=False)
     group.add_argument("--first", dest="first", action="store_true")

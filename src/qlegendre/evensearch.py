@@ -2,20 +2,24 @@
 
 Pipeline: the eligibility table fixes the exact values the half-lag PSDs
 can take; per-role candidate enumeration walks the 4^l entry tree
-depth-first, pruning on three exact integer walks (row sum, alternating
-sum, i-weighted quarter sum where 4 | l) through gaussint.walk_reachable.
-A role's candidates form one (N, l) int8 array of exponent rows (entry
-i^e stored as e); a hash join on their exact sequences.paf_rows
-half-profiles pairs the roles, probing with -2 - paf(B, s).  Each table
-entry's emitted pairs are re-verified from their rows in one
-pairs.first_failing_lags call, and a QSeq is built only for output, once
-per candidate.  No float enters this module.
+depth-first on the seed search's block engine (seeds.search_tree), a
+block of rows at a time, pruning on three exact integer walks (row sum,
+alternating sum, i-weighted quarter sum where 4 | l) through
+gaussint.walk_reachable.  Walk w adds i^(e + shift_w * j) for entry i^e
+at position j, with shift 0, 2 and 1 for the three walks.  A role's
+candidates form one (N, l) int8 array of exponent rows (entry i^e stored
+as e); a hash join on their exact sequences.paf_rows half-profiles pairs
+the roles, probing with -2 - paf(B, s).  Each table entry's emitted pairs
+are re-verified from their rows in one pairs.first_failing_lags call,
+and a QSeq is built only for output, once per candidate.  No float
+enters this module.
 
 A threefold seed (a3_seed) replaces the A walk by the decompressions of
 seed_a3, pruned by the same walks and accepted on the exact row sum and
-dft_exact values.  With workers > 1 each role's tree is split by its
-leading symbol over a process pool; the workers' exponent arrays are
-concatenated in symbol order, so the output equals the serial run.
+dft_exact values.  With workers > 1 each role's tree is split as the
+seed search's is: expanded breadth-first to depth 3, that frontier cut
+into one contiguous slice per worker process, and the slices' rows
+concatenated in order, so the output equals the serial run.
 
 Symmetry reductions are explicit plan flags, default off, so that
 exhaustiveness claims stay honest: rotation keeps only rotation-minimal
@@ -30,18 +34,18 @@ from __future__ import annotations
 
 import functools
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .gaussint import GaussInt, UNITS, ZERO, gauss_sum, unit_index, walk_reachable
+from .gaussint import GaussInt, UNITS, ZERO, gauss_sum, walk_reachable
 from .numtheory import two_square_reps
 from .sequences import QSeq, dft_exact, paf_rows, row_sum, unit_rows
 from .pairs import LegendrePair, first_failing_lags
 from .psdfilters import eligible_half_psd_pairs, seed_a3
 from .compression import decompress
+from .seeds import search_tree
 
 
 class InfeasibleLengthError(ValueError):
@@ -64,101 +68,93 @@ class SearchPlan:
 
 
 _ROW_TARGET = {"A": (0, 0), "B": (1, 1)}
+_UNIT_XY = np.array([(z.re, z.im) for z in UNITS])
 
 
-def enumerate_role_candidates(*args, **kwargs) -> Iterator[QSeq]:
-    """The sequences of _role_exponents, as QSeqs."""
-    return map(_qseq, _role_exponents(*args, **kwargs))
+def enumerate_role_candidates(
+    l: int,
+    role: str,
+    half_norm: int,
+    quarter_norms: Optional[Sequence[int]] = None,
+    *,
+    rotation_minimal: bool = False,
+) -> Iterator[QSeq]:
+    """All length-l unit sequences for one role, in DFS order over the
+    canonical symbol order.
+
+    Constraints: row sum 0 for role A and 1+i for role B; alternating sum
+    of norm half_norm; when quarter_norms is given (4 | l), the i-weighted
+    sum must land on one of those norms.
+    """
+    tree = _RoleTree(l, role, half_norm, quarter_norms, rotation_minimal)
+    return map(_qseq, _role_rows(tree, 1).tolist())
 
 
 def _qseq(exps: Iterable[int]) -> QSeq:
     return QSeq(UNITS[e] for e in exps)
 
 
-def _role_exponents(
-    l: int,
-    role: str,
-    half_norm: int,
-    quarter_norms: Optional[Sequence[int]] = None,
-    *,
-    prefix: tuple[int, ...] = (),
-    rotation_minimal: bool = False,
-) -> Iterator[tuple[int, ...]]:
-    """All length-l exponent tuples for one role, DFS order over the
-    canonical symbol order.
+class _RoleTree:
+    """One role's walk tree for seeds.walk_blocks.  A block is (walk
+    positions (N, W, 2) int64, exponent prefixes (N, t) int8).
 
-    Constraints: row sum 0 for role A and 1+i for role B; alternating sum
-    of norm half_norm; when quarter_norms is given (4 | l), the i-weighted
-    sum must land on one of those norms.  prefix pins leading symbol
-    indices (the work-partitioning hook).
+    Walk w adds i^(e + shift_w * j) for exponent e at position j: shift 0
+    is the row sum, 2 the alternating sum and 1 the quarter sum.  A child
+    is kept while every walk can still reach one of its exact targets, so
+    a leaf has hit them all and needs no re-check.
     """
-    if l < 2 or l % 2 != 0:
-        raise ValueError(f"even length required, got {l}")
-    if role not in _ROW_TARGET:
-        raise ValueError(f"role must be 'A' or 'B', got {role!r}")
-    row_targets = (_ROW_TARGET[role],)
-    alt_targets = tuple(two_square_reps(half_norm))
-    if not alt_targets:
-        return iter(())
-    quarter_targets: Optional[tuple[tuple[int, int], ...]] = None
-    quarter_set: Optional[frozenset[int]] = None
-    if quarter_norms is not None:
-        if l % 4 != 0:
-            raise ValueError("quarter constraints need 4 | l")
-        quarter_set = frozenset(quarter_norms)
-        quarter_targets = tuple(
-            itertools.chain.from_iterable(two_square_reps(q) for q in quarter_set)
-        )
-        if not quarter_targets:
-            return iter(())
 
-    # i^j factors per position, as (re move, im move) multipliers
-    unit_xy = ((1, 0), (0, 1), (-1, 0), (0, -1))
-    chosen: list[int] = []
+    first_only = False
 
-    def quarter_step(j: int, idx: int) -> tuple[int, int]:
-        # contribution of symbol idx at position j to sum_j a_j i^j
-        k = (idx + j) % 4  # i^j * i^idx = i^(j+idx)
-        return unit_xy[k]
+    def __init__(
+        self,
+        l: int,
+        role: str,
+        half_norm: int,
+        quarter_norms: Optional[Sequence[int]],
+        rotation_minimal: bool,
+    ) -> None:
+        if l < 2 or l % 2 != 0:
+            raise ValueError(f"even length required, got {l}")
+        if role not in _ROW_TARGET:
+            raise ValueError(f"role must be 'A' or 'B', got {role!r}")
+        self.depth = l
+        self.rotation_minimal = rotation_minimal
+        self.targets = [(_ROW_TARGET[role],), tuple(two_square_reps(half_norm))]
+        shifts = [0, 2]
+        if quarter_norms is not None:
+            if l % 4 != 0:
+                raise ValueError("quarter constraints need 4 | l")
+            self.targets.append(tuple(
+                itertools.chain.from_iterable(two_square_reps(q) for q in set(quarter_norms))
+            ))
+            shifts.append(1)
+        # moves[j, e, w]: the step of walk w for exponent e at position j
+        k = np.arange(4)[:, None] + np.outer(np.arange(l), shifts)[:, None, :]
+        self.moves = _UNIT_XY[k % 4]
 
-    def walk(
-        j: int, rx: int, ry: int, ax: int, ay: int, qx: int, qy: int
-    ) -> Iterator[tuple[int, ...]]:
-        if j == l:
-            if (rx, ry) != row_targets[0]:
-                return
-            if ax * ax + ay * ay != half_norm:
-                return
-            if quarter_set is not None and (qx * qx + qy * qy) not in quarter_set:
-                return
-            if rotation_minimal and not _is_rotation_minimal(chosen):
-                return
-            yield tuple(chosen)
-            return
-        rem = l - j - 1
-        alt_sign = 1 if j % 2 == 0 else -1
-        fixed = prefix[j] if j < len(prefix) else None
-        for idx in range(4):
-            if fixed is not None and idx != fixed:
-                continue
-            mx, my = unit_xy[idx]
-            rx2, ry2 = rx + mx, ry + my
-            ax2, ay2 = ax + alt_sign * mx, ay + alt_sign * my
-            if not walk_reachable(rx2, ry2, rem, row_targets):
-                continue
-            if not walk_reachable(ax2, ay2, rem, alt_targets):
-                continue
-            qmx, qmy = quarter_step(j, idx)
-            qx2, qy2 = qx + qmx, qy + qmy
-            if quarter_targets is not None and not walk_reachable(
-                qx2, qy2, rem, quarter_targets
-            ):
-                continue
-            chosen.append(idx)
-            yield from walk(j + 1, rx2, ry2, ax2, ay2, qx2, qy2)
-            chosen.pop()
+    def root(self) -> tuple[np.ndarray, np.ndarray]:
+        walks = len(self.targets)
+        return np.zeros((1, walks, 2), dtype=np.int64), np.zeros((1, 0), dtype=np.int8)
 
-    return walk(0, 0, 0, 0, 0, 0, 0)
+    def children(self, block, t: int) -> tuple[np.ndarray, np.ndarray]:
+        pos, rows = block
+        pos2 = (pos[:, None] + self.moves[t]).reshape(-1, *pos.shape[1:])
+        keep = np.ones(len(pos2), dtype=bool)
+        for w, targets in enumerate(self.targets):
+            keep &= walk_reachable(pos2[:, w, 0], pos2[:, w, 1], self.depth - t - 1, targets)
+        kept = np.flatnonzero(keep)
+        return pos2[kept], np.column_stack((rows[kept >> 2], (kept & 3).astype(np.int8)))
+
+    def leaves(self, block) -> np.ndarray:
+        rows = block[1]
+        return rows[_rotation_minimal(rows)] if self.rotation_minimal else rows
+
+
+def _role_rows(tree: _RoleTree, workers: int) -> np.ndarray:
+    """A role tree's leaves as one (N, l) int8 array, in path order."""
+    empty = np.zeros((0, tree.depth), dtype=np.int8)
+    return np.concatenate([empty, *search_tree(tree, workers)])
 
 
 def _rank(exps: Iterable[int]) -> tuple[int, ...]:
@@ -167,9 +163,18 @@ def _rank(exps: Iterable[int]) -> tuple[int, ...]:
     return tuple((e + 2) & 3 for e in exps)
 
 
-def _is_rotation_minimal(exps: Sequence[int]) -> bool:
-    key = _rank(exps)
-    return all(key[k:] + key[:k] >= key for k in range(1, len(key)))
+_RANKS = np.array(_rank(range(4)), dtype=np.int8)
+
+
+def _rotation_minimal(rows: np.ndarray) -> np.ndarray:
+    """Per exponent row: whether no rotation has a smaller rank key."""
+    key = _RANKS[rows]
+    ok = np.ones(len(key), dtype=bool)
+    for k in range(1, key.shape[1]):
+        diff = np.roll(key, -k, axis=1) - key
+        first = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]
+        ok &= first >= 0
+    return ok
 
 
 def _a3_candidates(
@@ -178,8 +183,8 @@ def _a3_candidates(
     half_norm: int,
     quarter_norms: Optional[Sequence[int]],
     rotation_minimal: bool,
-) -> Iterator[QSeq]:
-    """A-role candidates drawn from decompressions of an l/3 seed."""
+) -> np.ndarray:
+    """A-role candidate rows drawn from decompressions of an l/3 seed."""
     a, b = seed
     comp = seed_a3(l, a, b)
     m = comp.ratio
@@ -204,17 +209,10 @@ def _a3_candidates(
     def accept(seq: QSeq) -> bool:
         if row_sum(seq) != ZERO or dft_exact(seq, l // 2).norm() != half_norm:
             return False
-        if quarter_set is not None and dft_exact(seq, l // 4).norm() not in quarter_set:
-            return False
-        return not rotation_minimal or _is_rotation_minimal(list(map(unit_index, seq)))
+        return quarter_set is None or dft_exact(seq, l // 4).norm() in quarter_set
 
-    return decompress(comp, predicate=accept, prune=prune)
-
-
-def _enumerate_task(l: int, *args, **kwargs) -> np.ndarray:
-    # the role walk as one exponent array: a picklable worker task
-    exps = itertools.chain.from_iterable(_role_exponents(l, *args, **kwargs))
-    return np.fromiter(exps, dtype=np.int8).reshape(-1, l)
+    rows = unit_rows(list(decompress(comp, predicate=accept, prune=prune))).reshape(-1, l)
+    return rows[_rotation_minimal(rows)] if rotation_minimal else rows
 
 
 def _collect_candidates(
@@ -225,23 +223,11 @@ def _collect_candidates(
 ) -> np.ndarray:
     rotation_minimal = plan.reduce_rotation and role == "A"
     if role == "A" and plan.a3_seed is not None:
-        return unit_rows(list(_a3_candidates(
+        return _a3_candidates(
             plan.length, plan.a3_seed, half_norm, quarter_norms, rotation_minimal
-        )))
-    task = functools.partial(
-        _enumerate_task,
-        plan.length,
-        role,
-        half_norm,
-        quarter_norms,
-        rotation_minimal=rotation_minimal,
-    )
-    if plan.workers == 1:
-        return task()
-    # one task per leading symbol, concatenated in symbol order
-    with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-        futures = [pool.submit(task, prefix=(idx,)) for idx in range(4)]
-        return np.concatenate([fut.result() for fut in futures])
+        )
+    tree = _RoleTree(plan.length, role, half_norm, quarter_norms, rotation_minimal)
+    return _role_rows(tree, plan.workers)
 
 
 def paf_join(

@@ -96,18 +96,18 @@ def gauss_sum(values) -> GaussInt:
     return GaussInt(re, im)
 
 
-def walk_reachable(x: int, y: int, steps: int, targets) -> bool:
+def walk_reachable(x, y, steps: int, targets):
     """Whether `steps` unit moves can carry (x, y) onto a (tx, ty) target:
     one lies within Manhattan distance `steps`, with matching parity.
 
-    The one scalar prune of every walk: the even search's role walks and
-    threefold-seed prune, and compression's alphabet and splittings.  The
-    seed search's _SearchTables.alternating_ok is its vectorised twin."""
+    The one prune of every walk: the role walks of both searches, the
+    threefold-seed prune, and compression's alphabet and splittings.  For
+    ints it returns a bool; for numpy arrays x and y, a boolean array."""
+    ok = False
     for tx, ty in targets:
         d = abs(x - tx) + abs(y - ty)
-        if d <= steps and (d - steps) % 2 == 0:
-            return True
-    return False
+        ok = ok | ((d <= steps) & ((d - steps) % 2 == 0))
+    return ok
 
 
 # Token grammar: "a", "bi" or "a+bi" with optional signs; a bare or signed

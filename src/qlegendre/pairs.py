@@ -176,15 +176,12 @@ def canonical_key(a: QSeq, b: QSeq) -> tuple[str, str]:
     """Deduplication key: the lexicographically least (A, B) text over
     swaps, independent rotations of each member and simultaneous
     conjugation.  A reporting convention only; never used in verification.
+
+    The rotations are independent, so the least text pair of a (swap,
+    conjugation) variant is the pair of its members' least rotations.
     """
-    best: tuple[str, str] | None = None
-    for x, y in ((a, b), (b, a)):
-        for x2, y2 in ((x, y), (x.conj(), y.conj())):
-            for r in range(len(x2)):
-                xr = format_qseq(x2.rotated(r))
-                for t in range(len(y2)):
-                    cand = (xr, format_qseq(y2.rotated(t)))
-                    if best is None or cand < best:
-                        best = cand
-    assert best is not None
-    return best
+    ra, rb, ca, cb = (
+        min(format_qseq(seq.rotated(r)) for r in range(len(seq)))
+        for seq in (a, b, a.conj(), b.conj())
+    )
+    return min((ra, rb), (rb, ra), (ca, cb), (cb, ca))

@@ -18,16 +18,16 @@ A half-vector yields a Legendre pair exactly when
 
 At the lag p itself the cosine degenerates to (-1)^j, so that single
 condition is exact Gaussian-integer arithmetic: DFT(B, p) = a+ib must
-satisfy a^2 + b^2 = 4p-2 with a = 1 and -b = 1 mod 4 (mod4_filter).  The
-search walks the half-vector positions depth-first over an explicit stack
-of blocks of candidates (numpy arrays).  Popping a block expands all four
-children of every row in one broadcast; the survivors are pushed in small
-chunks, lowest paths on top, so leaves are reached in lexicographic order.
-The broadcast computes the same float sums as a walk one node at a time,
-so the set of pruned nodes is unchanged.  The two sound bounds are:
+satisfy a^2 + b^2 = 4p-2 with a = 1 and -b = 1 mod 4 (mod4_filter).
+
+This module hosts the walk-and-prune engine of both searches
+(walk_blocks, search_tree); the even search's role walks run on it too.
+The seed tree (_SearchTables) walks the half-vector positions.  Its
+block broadcast computes the same float sums as a walk one node at a
+time, so the set of pruned nodes is unchanged.  The two sound bounds are:
 
   * the exact lag-p walk must stay within Manhattan range of a valid
-    (a, b) target with matching parity;
+    (a, b) target with matching parity (gaussint.walk_reachable);
   * at every float lag, | |partial DFT| - sqrt(4p-2) | can still change
     by at most the total remaining cosine weight.
 
@@ -44,7 +44,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .gaussint import GaussInt, ONE, I, UNITS, format_gauss
+from .gaussint import GaussInt, ONE, I, UNITS, format_gauss, walk_reachable
 from .numtheory import (
     is_sum_of_two_squares,
     legendre_symbol,
@@ -155,13 +155,15 @@ _CHUNK = 1 << 8
 
 
 class _SearchTables:
-    """Per-prime constant data for the block search."""
+    """The seed search's tree: per-prime constant data and the block steps."""
 
-    def __init__(self, p: int, tol: float) -> None:
+    def __init__(self, p: int, tol: float, first_only: bool) -> None:
         h = (p - 1) // 2
         self.p = p
-        self.h = h
+        self.depth = h
         self.tol = tol
+        self.first_only = first_only
+        self.a_ref = decompress_seed_a(p, ONE)
         lags = np.arange(1, p - 1, 2, dtype=np.float64)  # odd lags below p
         jj = np.arange(1, h + 1, dtype=np.float64)
         self.weights = 4.0 * np.cos(np.pi * np.outer(lags, jj) / p)
@@ -179,14 +181,6 @@ class _SearchTables:
             if a % 4 == 1 and b % 4 == 3
         ]
 
-    def alternating_ok(self, ax: np.ndarray, ay: np.ndarray, rem: int) -> np.ndarray:
-        """gaussint.walk_reachable over arrays of walk positions."""
-        ok = np.zeros(ax.shape, dtype=bool)
-        for tx, ty in self.targets:
-            d = np.abs(ax - tx) + np.abs(ay - ty)
-            ok |= (d <= rem) & ((d - rem) % 2 == 0)
-        return ok
-
     def root(self) -> tuple[np.ndarray, ...]:
         """The depth-0 block: the empty prefix, DFT sums 1-i."""
         z = np.full((1, self.weights.shape[0]), 1.0 - 1.0j, dtype=np.complex128)
@@ -198,81 +192,92 @@ class _SearchTables:
         z, ax, ay, path = block
         j = t + 1
         sign = -1 if j % 2 == 1 else 1
-        rem = self.h - j
+        rem = self.depth - j
         z2 = (z[:, None, :] + _UNIT_COMPLEX[None, :, None] * self.weights[:, t]).reshape(
             -1, z.shape[1]
         )
         ax2 = (ax[:, None] + sign * _UNIT_X).ravel()
         ay2 = (ay[:, None] + sign * _UNIT_Y).ravel()
         path2 = (path[:, None] + (np.arange(4) << (2 * rem))).ravel()
-        keep = self.alternating_ok(ax2, ay2, rem)
+        keep = walk_reachable(ax2, ay2, rem, self.targets)
         band = self.remaining[:, j] + self.margin
         keep &= (np.abs(np.abs(z2) - self.radius) <= band).all(axis=1)
         return z2[keep], ax2[keep], ay2[keep], path2[keep]
 
-    def leaves_ok(self, block: tuple[np.ndarray, ...]) -> np.ndarray:
-        z, ax, ay, _ = block
+    def leaves(self, block: tuple[np.ndarray, ...]) -> list[tuple[int, ...]]:
+        """The float survivors of a leaf block that an exact pair test
+        confirms, as symbol-index tuples in path order."""
+        z, ax, ay, path = block
         ok = np.abs(np.abs(z) ** 2 - self.psd_target).max(axis=1) <= self.tol
-        ok &= self.alternating_ok(ax, ay, 0)
-        return ok
-
-
-class _FoundEnough(Exception):
-    pass
-
-
-class _Collector:
-    """Confirms float survivors exactly and accumulates half-vectors."""
-
-    def __init__(self, p: int, h: int, first_only: bool) -> None:
-        self.p = p
-        self.h = h
-        self.first_only = first_only
-        self.a_ref = decompress_seed_a(p, ONE)
-        self.found: list[tuple[int, ...]] = []
-
-    def take(self, path_ids: np.ndarray) -> None:
-        for pid in path_ids:
-            idxs = _decode_path(int(pid), self.h)
-            half = tuple(UNITS[i] for i in idxs)
-            if is_legendre_pair(self.a_ref, build_seed_b(self.p, half)):
-                self.found.append(idxs)
+        ok &= walk_reachable(ax, ay, 0, self.targets)
+        found = []
+        for pid in path[ok].tolist():
+            idxs = _decode_path(pid, self.depth)
+            if is_legendre_pair(self.a_ref, build_seed_b(self.p, [UNITS[i] for i in idxs])):
+                found.append(idxs)
                 if self.first_only:
-                    raise _FoundEnough
+                    break
+        return found
 
 
 def _decode_path(pid: int, h: int) -> tuple[int, ...]:
-    out = []
-    for j in range(h):
-        out.append((pid >> (2 * (h - 1 - j))) & 3)
-    return tuple(out)
+    return tuple((pid >> (2 * (h - 1 - j))) & 3 for j in range(h))
+
+
+# --- the walk-and-prune engine ----------------------------------------------
 
 
 def _push(stack: list, block: tuple[np.ndarray, ...], t: int) -> None:
     """Stack a depth-t block in chunks, its lowest paths on top."""
-    for lo in reversed(range(0, len(block[3]), _CHUNK)):
+    for lo in reversed(range(0, len(block[0]), _CHUNK)):
         stack.append((tuple(a[lo : lo + _CHUNK] for a in block), t))
 
 
-def _search_block(
-    tab: _SearchTables, first_only: bool, block: tuple[np.ndarray, ...], depth: int
-) -> list[tuple[int, ...]]:
-    """Confirmed leaves below a block of depth-`depth` rows, depth first.
-    Popping a block expands all its rows at once; as the lowest paths are
-    popped first, leaves are reached in lexicographic order."""
-    sink = _Collector(tab.p, tab.h, first_only)
+def walk_blocks(tree, block: tuple[np.ndarray, ...], depth: int) -> list:
+    """The tree's leaf results below a block of depth-`depth` rows, one
+    entry per leaf block, in path order.
+
+    The tree gives `depth` (the leaf depth), `children(block, t)` (the
+    pruned children of a depth-t block, rows in path order),
+    `leaves(block)` and `first_only` (stop after the first non-empty leaf
+    result).  Popping a block expands all its rows at once; as the lowest
+    paths are popped first, leaves are reached in path order.
+    """
+    found: list = []
     stack: list = []
     _push(stack, block, depth)
-    try:
-        while stack:
-            block, t = stack.pop()
-            if t == tab.h:
-                sink.take(block[3][tab.leaves_ok(block)])
-            else:
-                _push(stack, tab.children(block, t), t + 1)
-    except _FoundEnough:
-        pass
-    return sink.found
+    while stack:
+        block, t = stack.pop()
+        if t < tree.depth:
+            _push(stack, tree.children(block, t), t + 1)
+            continue
+        found.append(tree.leaves(block))
+        if tree.first_only and len(found[-1]):
+            break
+    return found
+
+
+def search_tree(tree, workers: int) -> list:
+    """walk_blocks over the whole tree.  With workers > 1 the tree is
+    expanded breadth-first to depth min(depth, 3); that pruned frontier is
+    cut into one contiguous slice per worker process and the slices'
+    results are merged in slice order, so the output equals the serial
+    walk's (with first_only, each slice's first hit is kept)."""
+    depth = 0 if workers == 1 else min(tree.depth, 3)
+    frontier = tree.root()
+    for t in range(depth):
+        frontier = tree.children(frontier, t)
+    if workers == 1:
+        return walk_blocks(tree, frontier, depth)
+    n = len(frontier[0])
+    cuts = [n * k // workers for k in range(workers + 1)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(walk_blocks, tree, tuple(a[lo:hi] for a in frontier), depth)
+            for lo, hi in zip(cuts, cuts[1:])
+            if lo < hi
+        ]
+        return [part for fut in futures for part in fut.result()]
 
 
 def seed_search(
@@ -280,7 +285,6 @@ def seed_search(
     *,
     first_only: bool = False,
     tol: float = 1e-6,
-    prefix_depth: Optional[int] = None,
     workers: int = 1,
 ) -> list[HalfVector]:
     """All half-vectors whose expansion forms a Legendre pair with the
@@ -288,9 +292,7 @@ def seed_search(
 
     first_only stops at the lexicographically first confirmed vector.
     tol is the float screening tolerance; the confirmed output does not
-    depend on it.  The tree is expanded breadth-first to prefix_depth;
-    that pruned frontier is cut into one contiguous slice per worker
-    process and the slices' results are merged in slice order.
+    depend on it.  workers splits the tree as search_tree does.
     """
     require_odd_prime(p)
     if workers < 1:
@@ -299,34 +301,8 @@ def seed_search(
         raise ValueError(f"tolerance must be positive, got {tol}")
     if not seed_feasible(p):
         return []
-    h = (p - 1) // 2
-    if prefix_depth is None:
-        prefix_depth = 0 if workers == 1 else min(h, 3)
-    if not 0 <= prefix_depth <= h:
-        raise ValueError(f"prefix depth must be in 0..{h}, got {prefix_depth}")
-
-    tab = _SearchTables(p, tol)
-    frontier = tab.root()
-    for t in range(prefix_depth):
-        frontier = tab.children(frontier, t)
-    if workers == 1:
-        found = _search_block(tab, first_only, frontier, prefix_depth)
-    else:
-        n = len(frontier[3])
-        cuts = [n * k // workers for k in range(workers + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _search_block,
-                    tab,
-                    first_only,
-                    tuple(a[lo:hi] for a in frontier),
-                    prefix_depth,
-                )
-                for lo, hi in zip(cuts, cuts[1:])
-                if lo < hi
-            ]
-            found = [idxs for fut in futures for idxs in fut.result()]
+    parts = search_tree(_SearchTables(p, tol, first_only), workers)
+    found = [idxs for part in parts for idxs in part]
     if first_only:
         found = found[:1]
     return [HalfVector(p, tuple(UNITS[i] for i in idxs)) for idxs in found]

@@ -248,7 +248,7 @@ def test_hadamard_bad_input_exits_2(capsys, tmp_path, argv):
         ["verify", "[1,x]", "[1,i]"],  # malformed token
         ["verify", "[1]", "[i]"],  # length 1
         ["search-seed", "--p", "9"],
-        ["search-seed", "--p", "13", "--prefix-depth", "99"],
+        ["search-seed", "--p", "13", "--tol", "0"],
         ["--workers", "0", "search-seed", "--p", "5"],
         ["search-even", "--length", "7"],
         ["search-even", "--length", "6", "--a3-seed", "9,9"],

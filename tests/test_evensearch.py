@@ -1,6 +1,7 @@
 """Direct even-length search: candidates, join, reductions, plans."""
 import itertools
 
+import numpy as np
 import pytest
 from conftest import join_with_a_non_pair, random_qseq
 
@@ -77,14 +78,6 @@ def test_candidate_constraints_and_determinism():
         assert cands == again
 
 
-def test_prefix_pinning_partitions_the_run():
-    whole = list(enumerate_role_candidates(6, "A", 4))
-    parts = []
-    for idx in range(4):
-        parts.extend(enumerate_role_candidates(6, "A", 4, prefix=(idx,)))
-    assert parts == whole
-
-
 def _brute_candidates(l, role, half_norm, quarter_norms=None):
     target = GaussInt(0, 0) if role == "A" else GaussInt(1, 1)
     out = []
@@ -111,6 +104,12 @@ def test_candidates_match_brute_force():
         assert got_a == _brute_candidates(4, "A", x, quarters)
         got_b = list(enumerate_role_candidates(4, "B", y, quarters))
         assert got_b == _brute_candidates(4, "B", y, quarters)
+    for x, y in eligible_half_psd_pairs(6).pairs:
+        for role, norm in (("A", x), ("B", y)):
+            brute = _brute_candidates(6, role, norm)
+            assert list(enumerate_role_candidates(6, role, norm)) == brute
+            got = list(enumerate_role_candidates(6, role, norm, rotation_minimal=True))
+            assert got == [s for s in brute if _text_rotation_minimal(s)]
 
 
 def test_rotation_minimal_candidates():
@@ -147,12 +146,20 @@ def test_paf_join_matches_double_loop(rng):
     assert paf_join([], b_list) == []
 
 
+def _text_rotation_minimal(seq):
+    return all(format_qseq(seq.rotated(k)) >= format_qseq(seq) for k in range(1, len(seq)))
+
+
 def test_rank_key_follows_text_order():
     for l in range(1, 7):
         exps = list(itertools.product(range(4), repeat=l))
         by_rank = sorted(exps, key=evensearch._rank)
         by_text = sorted(exps, key=lambda e: format_qseq(QSeq(UNITS[k] for k in e)))
         assert by_rank == by_text
+        # the vectorised rotation-minimality mask compares the same keys
+        want = [_text_rotation_minimal(QSeq(UNITS[k] for k in e)) for e in exps]
+        rows = np.array(exps, dtype=np.int8)
+        assert evensearch._rotation_minimal(rows).tolist() == want
 
 
 def test_join_defect_is_caught_by_reverification(monkeypatch):

@@ -2,6 +2,7 @@
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from qlegendre.gaussint import (
@@ -47,12 +48,17 @@ def test_pickle_round_trip():
 def test_walk_reachable_matches_brute_force():
     # the positions `steps` unit moves can reach from the origin
     reach = {(0, 0)}
+    xs, ys = (a.ravel() for a in np.mgrid[-7:8, -7:8])
     for steps in range(6):
-        for x in range(-7, 8):
-            for y in range(-7, 8):
-                for targets in (((0, 0),), ((1, 1),), ((2, -1), (-3, 0))):
-                    want = any((tx - x, ty - y) in reach for tx, ty in targets)
-                    assert walk_reachable(x, y, steps, targets) == want
+        for targets in (((0, 0),), ((1, 1),), ((2, -1), (-3, 0))):
+            want = [
+                any((tx - x, ty - y) in reach for tx, ty in targets)
+                for x, y in zip(xs.tolist(), ys.tolist())
+            ]
+            got = [walk_reachable(x, y, steps, targets) for x, y in zip(xs.tolist(), ys.tolist())]
+            assert got == want and all(type(ok) is bool for ok in got)
+            # the same prune over arrays of positions, elementwise
+            assert walk_reachable(xs, ys, steps, targets).tolist() == want
         reach = {(x + u.re, y + u.im) for x, y in reach for u in UNITS}
     assert not walk_reachable(0, 0, 3, ())
 

@@ -9,7 +9,6 @@ from qlegendre.pairs import canonical_key, is_legendre_pair, normalize
 from qlegendre.sequences import QSeq, format_qseq, parse_qseq
 
 PAIRS = [pair for _, pair in all_corpus_pairs()]
-SHORT_PAIRS = [pair for pair in PAIRS if pair.length <= 16]
 
 bounded = settings(max_examples=60, deadline=None)
 units = st.sampled_from(UNITS)
@@ -56,11 +55,22 @@ def test_normalize_is_idempotent_on_corpus_pairs(ab):
     assert normalize(na, nb) == (na, nb)
 
 
+def quadratic_key(a, b):
+    """canonical_key's definition: the least text pair over swaps,
+    simultaneous conjugation and every pair of rotations."""
+    return min(
+        (format_qseq(x.rotated(r)), format_qseq(y.rotated(t)))
+        for x, y in ((a, b), (b, a), (a.conj(), b.conj()), (b.conj(), a.conj()))
+        for r in range(len(x))
+        for t in range(len(y))
+    )
+
+
 @settings(max_examples=25, deadline=None)
 @given(
-    st.sampled_from(SHORT_PAIRS),
-    st.integers(0, 15),
-    st.integers(0, 15),
+    st.sampled_from(PAIRS),
+    st.integers(0, 81),
+    st.integers(0, 81),
     st.booleans(),
     st.booleans(),
 )
@@ -70,4 +80,7 @@ def test_canonical_key_is_invariant(pair, ra, rb, swap, conj):
         a, b = b, a
     if conj:
         a, b = a.conj(), b.conj()
-    assert canonical_key(a, b) == canonical_key(pair.a, pair.b)
+    key = canonical_key(pair.a, pair.b)
+    assert canonical_key(a, b) == key
+    if pair.length <= 16:
+        assert quadratic_key(a, b) == key

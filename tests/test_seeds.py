@@ -139,12 +139,6 @@ def test_seed_search_tolerance_independent():
         assert _texts(seed_search(p, tol=1e-9)) == _texts(seed_search(p, tol=1e-4)), p
 
 
-def test_seed_search_prefix_split_consistent():
-    whole = _texts(seed_search(7))
-    split = _texts(seed_search(7, prefix_depth=2))
-    assert whole == split
-
-
 def test_seed_search_lexicographic_order():
     found = seed_search(19)
     keys = [tuple(UNITS.index(z) for z in h.symbols) for h in found]
@@ -163,14 +157,6 @@ def test_seed_search_workers_first_only_match_serial():
         serial = _texts(seed_search(p, first_only=True))
         assert len(serial) == 1
         assert _texts(seed_search(p, first_only=True, workers=2)) == serial
-
-
-@pytest.mark.parametrize("depth", [0, 1, 2, 3])
-def test_seed_search_prefix_depth_workers_match_serial(depth):
-    serial = _texts(seed_search(19))
-    assert _texts(seed_search(19, prefix_depth=depth)) == serial
-    assert _texts(seed_search(19, prefix_depth=depth, workers=2)) == serial
-    assert _texts(seed_search(19, prefix_depth=depth, workers=2, first_only=True)) == serial[:1]
 
 
 def test_seed_search_p23_exhaustively_empty():
